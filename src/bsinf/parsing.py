@@ -10,6 +10,10 @@ Grammar (authoritative):
 
 Exponents are nonnegative integer literals and implicit multiplication is not
 allowed ("2x" is a syntax error).  The result is returned fully expanded.
+
+Hostile input is refused before it is expanded: parentheses and unary minus
+signs may nest at most MAX_NESTING deep, and no power, product or exponent
+may exceed MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from fractions import Fraction
 
 from .errors import DegreeZeroError, ParseError, ZeroPolynomialError
 from .poly import BivarPoly
+
+MAX_NESTING = 100  # '(' and unary '-' levels; far below the recursion limit
+MAX_DEGREE = 512  # largest total degree or exponent; the test corpus reaches 24
 
 
 class _Token:
@@ -60,6 +67,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -68,6 +76,13 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nest(self, tok: _Token) -> None:
+        """Consume an opening '(' or unary '-', one level deeper."""
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
     def expr(self) -> BivarPoly:
         acc = self.term()
@@ -80,8 +95,11 @@ class _Parser:
     def term(self) -> BivarPoly:
         acc = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            acc = acc * self.factor()
+            op = self.advance()
+            rhs = self.factor()
+            if acc.degree + rhs.degree > MAX_DEGREE:
+                raise ParseError(f"product of degree above {MAX_DEGREE}", op.pos)
+            acc = acc * rhs
         return acc
 
     def factor(self) -> BivarPoly:
@@ -92,6 +110,11 @@ class _Parser:
             if tok.kind != "number":
                 raise ParseError("expected a nonnegative integer exponent", tok.pos)
             self.advance()
+            # the length test comes first: int() of a huge literal is slow
+            if (len(tok.text.lstrip("0")) > len(str(MAX_DEGREE))
+                    or max(b.degree, 1) * int(tok.text) > MAX_DEGREE):
+                raise ParseError(f"exponent or power of degree above {MAX_DEGREE}",
+                                 tok.pos)
             b = b ** int(tok.text)
         return b
 
@@ -115,18 +138,21 @@ class _Parser:
                 return BivarPoly.constant(Fraction(num, den))
             return BivarPoly.constant(num)
         if tok.kind == "(":
-            self.advance()
+            self.nest(tok)
             inner = self.expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
             self.advance()
+            self.depth -= 1
             return inner
         if tok.kind == "-":
             # negation wraps the whole factor: "-x^2" is -(x^2), which the
             # print/parse round trip requires
-            self.advance()
-            return -self.factor()
+            self.nest(tok)
+            inner = self.factor()
+            self.depth -= 1
+            return -inner
         raise ParseError("expected 'x', 'y', a rational, '(' or '-'", tok.pos)
 
 

@@ -8,6 +8,7 @@ then exponent of the first variable).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -239,9 +240,17 @@ def _gradlex_key(exp: tuple[int, int]) -> tuple[int, int]:
 class BivarPoly:
     """Sparse bivariate polynomial: a map (i, j) -> nonzero rational coefficient
     of x^i * y^j.  Instances are immutable; all operations return new values.
+
+    A product also remembers its pieces: `a * b` keeps the distinct
+    non-constant pieces of both operands, where a polynomial without pieces
+    counts as one piece and constants are dropped.  So the product equals its
+    pieces' product (with multiplicities) up to a nonzero constant.  Negation
+    keeps the pieces; `+`, `-` and `scale` drop them.  Pieces never enter
+    equality or hashing; `irreducible_factors` and `squarefree_part` use them
+    to factor a product one piece at a time.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_pieces")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction | int] = ()):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -253,6 +262,7 @@ class BivarPoly:
                 clean[(int(i), int(j))] = c
         self._terms = clean
         self._hash: int | None = None
+        self._pieces: tuple[BivarPoly, ...] = ()
 
     # -- construction helpers ------------------------------------------------
 
@@ -288,7 +298,7 @@ class BivarPoly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(i == 0 and j == 0 for (i, j) in self._terms)
+        return self._terms.keys() <= {(0, 0)}
 
     @property
     def degree(self) -> int:
@@ -324,7 +334,9 @@ class BivarPoly:
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self) -> BivarPoly:
-        return BivarPoly({e: -c for e, c in self._terms.items()})
+        out = BivarPoly({e: -c for e, c in self._terms.items()})
+        out._pieces = self._pieces
+        return out
 
     def __add__(self, other: BivarPoly) -> BivarPoly:
         out = dict(self._terms)
@@ -351,7 +363,11 @@ class BivarPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return BivarPoly(out)
+        product = BivarPoly(out)
+        pieces = [p for f in (self, other) if not f.is_constant()
+                  for p in (f._pieces or (f,))]
+        product._pieces = tuple(dict.fromkeys(pieces))
+        return product
 
     def scale(self, c) -> BivarPoly:
         c = _as_fraction(c)
@@ -537,11 +553,19 @@ def squarefree_part(f: BivarPoly) -> BivarPoly:
 
     Same real zero set as f; coefficients are coprime integers and the
     graded-lex leading coefficient is positive.
+
+    A product (f carries pieces, see BivarPoly) is answered as the product of
+    its irreducible factors, which are primitive with positive leads.  By
+    Gauss's lemma their product is primitive, and the graded-lex leading
+    coefficient of a product is the product of the leading coefficients, so
+    this is term for term the canonical scaling of sympy's squarefree part.
     """
     if f.is_zero():
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
     if f.is_constant():
         raise DegreeZeroError("squarefree part of a constant")
+    if f._pieces:
+        return math.prod(irreducible_factors(f), start=BivarPoly.constant(1))
     sq = from_sympy_poly(to_sympy_poly(f).sqf_part())
     return sq.normalized_primitive()
 
@@ -550,9 +574,16 @@ def squarefree_part(f: BivarPoly) -> BivarPoly:
 def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
     """Distinct irreducible factors of f over Q (multiplicities dropped),
     each primitive with positive graded-lex lead, in a deterministic order.
+
+    A product (f carries pieces, see BivarPoly) is factored one piece at a
+    time: factorization in Q[x, y] is unique, so the union of the pieces'
+    irreducible factors is the factor set of their product.
     """
-    _, factors = to_sympy_poly(f).factor_list()
-    out = {from_sympy_poly(p).normalized_primitive() for p, _ in factors}
+    if f._pieces:
+        out = {g for piece in f._pieces for g in irreducible_factors(piece)}
+    else:
+        _, factors = to_sympy_poly(f).factor_list()
+        out = {from_sympy_poly(p).normalized_primitive() for p, _ in factors}
     return tuple(sorted(out, key=lambda g: sorted(g.terms.items())))
 
 

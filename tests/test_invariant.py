@@ -14,7 +14,7 @@ from bsinf.invariant import (
     realize_tuple,
 )
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly
+from bsinf.poly import BivarPoly, irreducible_factors
 
 from conftest import affine_image, even_sum_tuples, random_unimodular
 
@@ -187,3 +187,19 @@ def test_affine_invariance(rng, classic_curves):
             m = random_unimodular(rng)
             t = (rng.randint(-3, 3), rng.randint(-3, 3))
             assert k_at_infinity(affine_image(f, m, t)).k == k0
+
+
+def test_expanded_text_matches_product_on_criterion_1_sample():
+    # criterion 1 builds products, which are factored piece by piece; every
+    # 4th tuple also goes through the expanded text, which has no pieces
+    for t in even_sum_tuples(6, 4)[::4]:
+        eta = KInvariant(t)
+        for f in (emit_normal_form(canonical_descriptor(eta)), realize_tuple(eta)):
+            expanded = parse_poly(str(f))
+            assert f._pieces and not expanded._pieces
+            irreducible_factors.cache_clear()  # keyed on terms: keep the paths apart
+            via_text = k_at_infinity(expanded)
+            irreducible_factors.cache_clear()
+            via_product = k_at_infinity(f)
+            assert via_text.records == via_product.records, t
+            assert via_text.k == eta

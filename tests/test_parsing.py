@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf.errors import DegreeZeroError, ParseError, ZeroPolynomialError
-from bsinf.parsing import parse_poly
+from bsinf.parsing import MAX_DEGREE, MAX_NESTING, parse_poly
 from bsinf.poly import BivarPoly
 
 
@@ -69,6 +70,57 @@ def test_print_then_parse_is_identity_on_examples():
     for text in ["y^2 - x^3", "(y-x)^2 - (y+x)", "x*y - 1/3", "-x^4 + 2*x*y^3 - y"]:
         p = parse_poly(text)
         assert parse_poly(str(p)) == p
+
+
+DEEP_PARENS = "(" * 3000 + "x - y" + ")" * 3000
+DEEP_MINUS = "-" * 3000 + "x"
+
+
+@pytest.mark.parametrize("text", [DEEP_PARENS, DEEP_MINUS], ids=["parens", "minus"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert exc.value.offset == MAX_NESTING
+
+
+@pytest.mark.parametrize("text", [DEEP_PARENS, DEEP_MINUS], ids=["parens", "minus"])
+def test_deep_nesting_cli_error_is_one_line(tmp_path, capsys, text):
+    from bsinf.cli import main
+
+    path = tmp_path / "curve.txt"
+    path.write_text(text)
+    code = main(["invariant", f"@{path}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "nesting" in captured.err
+
+
+def test_nesting_up_to_the_limit_is_accepted():
+    inner = "(" * MAX_NESTING + "x - y" + ")" * MAX_NESTING
+    assert parse_poly(inner) == parse_poly("x - y")
+    assert parse_poly("-" * MAX_NESTING + "x") == parse_poly("x")
+
+
+@pytest.mark.parametrize("text", ["x^100000000", "2^100000000", "x^" + "9" * 10000,
+                                  f"(x + y)^{MAX_DEGREE + 1}"],
+                         ids=["x", "constant", "long-literal", "binomial"])
+def test_huge_power_fails_fast(text):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_poly(text)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_degree_limit_on_products_and_powers():
+    assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_poly(f"x^{MAX_DEGREE // 2}*y^{MAX_DEGREE // 2}").degree == MAX_DEGREE
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"x^{MAX_DEGREE}*y")
+    assert exc.value.offset == len(f"x^{MAX_DEGREE}")
+    with pytest.raises(ParseError):
+        parse_poly(f"(x^2)^{MAX_DEGREE // 2 + 1}")
 
 
 @st.composite

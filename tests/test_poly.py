@@ -9,6 +9,7 @@ from bsinf.parsing import parse_poly
 from bsinf.poly import (
     BivarPoly,
     UnivarPoly,
+    irreducible_factors,
     resultant,
     squarefree_part,
     univariate_resultant,
@@ -42,6 +43,68 @@ def small_curves(draw):
 @settings(max_examples=30, deadline=None)
 def test_squarefree_of_power_equals_squarefree(f, n):
     assert squarefree_part(f ** n) == squarefree_part(f)
+
+
+@st.composite
+def product_pieces(draw):
+    """One factor of a product: a line, a conic, a circle x^2 + y^2 - r, a
+    reducible expanded piece, a constant, or a product or power of these."""
+    small = st.integers(-3, 3)
+    kind = draw(st.sampled_from(
+        ["line", "conic", "circle", "reducible", "constant", "product", "power"]))
+    if kind == "line":
+        a, b = draw(small), draw(small)
+        return BivarPoly({(1, 0): a, (0, 1): b or 1, (0, 0): draw(small)})
+    if kind == "conic":
+        return BivarPoly({e: draw(small) for e in [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]}
+                         | {(0, 2): draw(st.integers(1, 3)), (0, 0): draw(small)})
+    if kind == "circle":
+        return BivarPoly({(2, 0): 1, (0, 2): 1, (0, 0): -draw(st.integers(-2, 4))})
+    if kind == "reducible":
+        # shares the factor x - y with the line x - y and with the product below
+        return parse_poly(draw(st.sampled_from(["x - y", "x^2 - y^2", "x^3 - x*y^2"])))
+    if kind == "constant":
+        return BivarPoly.constant(Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4))))
+    if kind == "product":
+        return parse_poly("(x - y)*(x^2 - y^2)")
+    return parse_poly(draw(st.sampled_from(["x + 2*y - 1", "y - x^2"]))) ** draw(st.integers(2, 3))
+
+
+@st.composite
+def products(draw):
+    pieces = draw(st.lists(product_pieces(), min_size=1, max_size=6))
+    if all(p.is_constant() for p in pieces):
+        pieces.append(BivarPoly.y())
+    if draw(st.booleans()):
+        pieces.append(draw(st.sampled_from(pieces)))  # a repeated piece
+    out = BivarPoly.constant(1)
+    for p in pieces:
+        out = -(out * p) if draw(st.booleans()) else out * p
+    return out
+
+
+@given(products())
+@settings(max_examples=60, deadline=None)
+def test_product_path_matches_expanded_path(f):
+    plain = BivarPoly(f.terms)  # the same polynomial without its pieces
+    assert f._pieces and not plain._pieces
+    # the cache keys on terms alone, so the expanded path must bypass it
+    irreducible_factors.cache_clear()
+    factors = irreducible_factors(f)
+    plain_factors = irreducible_factors.__wrapped__(plain)
+    assert [g.terms for g in factors] == [g.terms for g in plain_factors]
+    assert squarefree_part(f).terms == squarefree_part(plain).terms
+
+
+def test_pieces_follow_products_only():
+    x, y = BivarPoly.x(), BivarPoly.y()
+    line = y - x
+    assert not line._pieces
+    assert not (line * x).scale(2)._pieces
+    assert not (line * x + x)._pieces
+    g = -(BivarPoly.constant(3) * line * line * x)
+    assert set(g._pieces) == {line, x}  # constants dropped, repeats merged
+    assert set((g * (x + y))._pieces) == {line, x, x + y}
 
 
 def test_resultant_examples_match_sylvester_determinant():
