@@ -52,27 +52,57 @@ class OracleReport:
 
 
 def _scaled_evaluator(f: BivarPoly):
-    """Vectorized theta -> f(R cos, R sin) / R^deg (same zeros, overflow-safe),
-    plus the coefficient-magnitude scale of that form at radius R."""
-    d = f.degree
-    exps = [(int(i), int(j)) for (i, j) in f.terms]
-    coeffs = [float(c) for c in f.terms.values()]
+    """theta -> f(R cos, R sin) / R^deg (same zeros, overflow-safe), plus the
+    coefficient-magnitude scale of that form at radius R.
 
-    def ev(radius: float, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(cos_t)
-        for (i, j), c in zip(exps, coeffs):
-            acc += (c * radius ** float(i + j - d)) * cos_t ** i * sin_t ** j
+    `ev(radius, cos_t, sin_t)` evaluates the form by Horner's rule in sin over
+    Horner's rule in cos, with coefficients c_ij * R^(i+j-deg) formed once per
+    call.  Grid scans pass numpy arrays and get an array; a single point passes
+    1-tuples, e.g. `ev(r, (math.cos(t),), (math.sin(t),))`, and gets a float
+    from the same Horner code run on Python floats, with no numpy call.  Both
+    paths round identically, so a point and the same point of a grid agree
+    bitwise.
+
+    Rounding: each term c_ij cos^i sin^j passes through at most 2*deg + 2
+    roundings, so with |cos|, |sin| <= 1 the computed value is within
+    gamma_(2 deg + 2) * scale(R), about (2 deg + 2) * 2^-53 * scale(R), of the
+    exact form at the given float cos and sin (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 5).  That holds for the oracle's radii, powers
+    of 2, where c_ij * R^(i+j-deg) is exact.  The noise floor of
+    1e-15 * scale(R) that the scans use is below this worst case from degree 4
+    up: it is an empirical sign threshold, not a certificate, which is one
+    reason the oracle stays advisory.
+    """
+    d = f.degree
+    terms = [(i, j, float(c)) for (i, j), c in f.items()]
+    # table[j][i] = (c_ij, deg - i - j): the terms of sin^j, dense in cos
+    table: list[list[tuple[float, int]]] = [[] for _ in range(1 + max(j for _, j, _ in terms))]
+    for i, j, c in terms:
+        row = table[j]
+        row.extend([(0.0, 0)] * (i + 1 - len(row)))
+        row[i] = (c, d - i - j)
+    table = [row[::-1] for row in reversed(table)]  # highest powers first
+
+    def ev(radius: float, cos_t, sin_t):
+        inv = [radius ** float(-k) for k in range(d + 1)]  # inv[k] = R^-k
+        if isinstance(cos_t, tuple):  # one point: Python floats
+            cos_t, sin_t = cos_t[0], sin_t[0]
+        acc = 0.0
+        for row in table:
+            inner = 0.0
+            for c, k in row:
+                inner = inner * cos_t + c * inv[k] if c else inner * cos_t
+            acc = acc * sin_t + inner
         return acc
 
     def scale(radius: float) -> float:
-        return sum(abs(c) * radius ** float(i + j - d)
-                   for (i, j), c in zip(exps, coeffs))
+        return sum(abs(c) * radius ** float(i + j - d) for i, j, c in terms)
 
     return ev, scale
 
 
 def _ev_at(ev, radius: float, t: float) -> float:
-    return float(ev(radius, np.cos(np.array([t])), np.sin(np.array([t])))[0])
+    return ev(radius, (math.cos(t),), (math.sin(t),))
 
 
 def _bisect_bracket(ev, radius: float, lo: float, hi: float, flo: float) -> float:
@@ -110,6 +140,16 @@ def _probe_even_event(ev, radius: float, lo: float, hi: float, s: float,
         out.append(_bisect_bracket(ev, radius, t_ext, hi, v_ext))
     elif abs(v_ext) <= noise:
         out.extend([t_ext, t_ext])
+
+
+def _sign_windows(sgn: np.ndarray) -> set[tuple[int, int]]:
+    """Pairs (a, b) of consecutive nonzero samples of a +1/0/-1 array that
+    enclose a zero run or a sign change.  Zeros before the first and after the
+    last nonzero sample sit at a window edge and belong to the parent scan."""
+    nz = np.flatnonzero(sgn)
+    a, b = nz[:-1], nz[1:]
+    keep = (b > a + 1) | (sgn[a] != sgn[b])
+    return set(zip(a[keep].tolist(), b[keep].tolist()))
 
 
 def _scan(ev, radius: float, lo: float, hi: float, n: int, depth: int,
@@ -168,21 +208,7 @@ def _scan(ev, radius: float, lo: float, hi: float, n: int, depth: int,
             _probe_even_event(ev, radius, wlo, whi, 1.0 if vlo > 0 else -1.0,
                               noise, out)
 
-    windows: set[tuple[int, int]] = set()
-    k = 0
-    while k < m - 1:
-        if sgn[k] == 0:
-            k += 1  # leading zero-ish samples at a window edge: parent territory
-            continue
-        nxt = k + 1
-        while nxt < m and sgn[nxt] == 0:
-            nxt += 1
-        if nxt >= m:
-            break  # trailing zero-ish edge
-        if nxt > k + 1 or sgn[k] != sgn[nxt]:
-            # a sign change, or a zero-ish run that may hide intersections
-            windows.add((k, nxt))
-        k = nxt
+    windows = _sign_windows(sgn)
 
     # local minima of |f| below the hidden-double-zero bound (Bernstein:
     # |f''| <= deg^2 * scale on the circle) open even-event windows on their

@@ -12,8 +12,9 @@ Exponents are nonnegative integer literals and implicit multiplication is not
 allowed ("2x" is a syntax error).  The result is returned fully expanded.
 
 Hostile input is refused before it is expanded: parentheses and unary minus
-signs may nest at most MAX_NESTING deep, and no power, product or exponent
-may exceed MAX_DEGREE.
+signs may nest at most MAX_NESTING deep, no power, product or exponent may
+exceed MAX_DEGREE, and no power b^n is expanded when the largest coefficient
+of b, in bits, times n exceeds MAX_COEFF_BITS.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .poly import BivarPoly
 
 MAX_NESTING = 100  # '(' and unary '-' levels; far below the recursion limit
 MAX_DEGREE = 512  # largest total degree or exponent; the test corpus reaches 24
+# bit-length estimate for the coefficients of a power; the corpus reaches 69
+MAX_COEFF_BITS = 1 << 16
 
 
 class _Token:
@@ -61,6 +64,12 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", n))
     return tokens
+
+
+def _coeff_bits(p: BivarPoly) -> int:
+    """Bit length of the largest numerator or denominator among p's coefficients."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for _, c in p.items()), default=0)
 
 
 class _Parser:
@@ -115,7 +124,11 @@ class _Parser:
                     or max(b.degree, 1) * int(tok.text) > MAX_DEGREE):
                 raise ParseError(f"exponent or power of degree above {MAX_DEGREE}",
                                  tok.pos)
-            b = b ** int(tok.text)
+            n = int(tok.text)
+            if _coeff_bits(b) * n > MAX_COEFF_BITS:
+                raise ParseError(f"power with coefficients above {MAX_COEFF_BITS} bits",
+                                 tok.pos)
+            b = b ** n
         return b
 
     def base(self) -> BivarPoly:

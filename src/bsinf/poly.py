@@ -112,8 +112,9 @@ class UnivarPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return result
 
     def divmod(self, other: UnivarPoly) -> tuple[UnivarPoly, UnivarPoly]:
@@ -383,8 +384,9 @@ class BivarPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return result
 
     def partial(self, var: str) -> BivarPoly:

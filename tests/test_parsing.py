@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf.errors import DegreeZeroError, ParseError, ZeroPolynomialError
-from bsinf.parsing import MAX_DEGREE, MAX_NESTING, parse_poly
+from bsinf.parsing import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, parse_poly
 from bsinf.poly import BivarPoly
 
 
@@ -121,6 +121,40 @@ def test_degree_limit_on_products_and_powers():
     assert exc.value.offset == len(f"x^{MAX_DEGREE}")
     with pytest.raises(ParseError):
         parse_poly(f"(x^2)^{MAX_DEGREE // 2 + 1}")
+
+
+HUGE_COEFFICIENT = "((2^512)^512)^512*x"
+
+
+@pytest.mark.parametrize("text", [HUGE_COEFFICIENT, "(((2^512)^512)^512)^512*x"],
+                         ids=["three-levels", "four-levels"])
+def test_huge_coefficient_fails_fast(text):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert "bits" in str(exc.value)
+
+
+def test_coefficient_limit_boundary():
+    # 2^127 has 128 bits and 128 * 512 == MAX_COEFF_BITS; 2^128 has 129
+    assert 128 * MAX_DEGREE == MAX_COEFF_BITS
+    big = parse_poly(f"(2^127)^{MAX_DEGREE}*x")
+    assert big.terms == {(1, 0): Fraction(2 ** (127 * MAX_DEGREE))}
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"(2^128)^{MAX_DEGREE}*x")
+    assert exc.value.offset == len("(2^128)^")
+
+
+def test_huge_coefficient_cli_error_is_one_line(capsys):
+    from bsinf.cli import main
+
+    code = main(["invariant", HUGE_COEFFICIENT])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "bits" in captured.err
 
 
 @st.composite

@@ -154,6 +154,32 @@ def test_univariate_resultant_signs():
     assert univariate_resultant(g, f) == Fraction(3)
 
 
+@pytest.mark.parametrize("cls, base", [
+    (BivarPoly, parse_poly("x - 2*y + 1")),
+    (UnivarPoly, UnivarPoly([1, -3, 2])),
+], ids=["bivar", "univar"])
+def test_power_is_repeated_product_without_extra_squares(monkeypatch, cls, base):
+    """b ** n equals n-fold multiplication, and square-and-multiply never
+    forms a product of degree above n * deg b (no square after the last bit)."""
+    original = cls.__mul__
+    for n in range(13):
+        expected = cls.constant(1)
+        for _ in range(n):
+            expected = original(expected, base)
+        degrees = []
+
+        def recording_mul(self, other):
+            product = original(self, other)
+            degrees.append(product.degree)
+            return product
+
+        monkeypatch.setattr(cls, "__mul__", recording_mul)
+        result = base ** n
+        monkeypatch.undo()
+        assert result == expected
+        assert max(degrees, default=0) <= n * base.degree
+
+
 def test_poly_arithmetic_basics():
     x, y = BivarPoly.x(), BivarPoly.y()
     p = (y - x) ** 2
