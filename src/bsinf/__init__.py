@@ -6,26 +6,20 @@ when the tuples agree.  The package computes the invariant with certified
 exact arithmetic, decides equivalence, emits canonical normal forms, realizes
 admissible tuples and cross-validates everything against an independent
 floating-point oracle.
+
+The names below are the calls the README and the CLI make, the types they
+return and the errors they raise; the layers behind them are importable from
+their submodules.
 """
 
 from .errors import (
     BsinfError,
-    DegenerateEliminationError,
     DegreeZeroError,
     IrrationalDirectionError,
     NonTransverseCircleError,
     NotRealizableError,
     ParseError,
-    PointNotOnCurveError,
-    UncertifiedCount,
     ZeroPolynomialError,
-)
-from .germs import (
-    CriticalRadius,
-    SignedBranchCount,
-    count_circle_solutions,
-    count_half_branches,
-    critical_radius_bound,
 )
 from .invariant import (
     DirectionCount,
@@ -37,34 +31,21 @@ from .invariant import (
     emit_normal_form,
     equivalent_at_infinity,
     k_at_infinity,
-    norm1,
     realize_tuple,
 )
 from .oracle import OracleConfig, OracleReport, oracle_k
 from .parsing import parse_poly
-from .poly import BivarPoly, UnivarPoly, format_poly, resultant, squarefree_part
-from .projective import (
-    DirectionS1,
-    GermChart,
-    ProjPointAtInfinity,
-    chart_germ,
-    direction_pair,
-    leading_form,
-    points_at_infinity,
-)
-from .roots import RootInterval, count_roots_in, isolate_real_roots, refine_root
+from .poly import BivarPoly, squarefree_part
+from .projective import DirectionS1, ProjPointAtInfinity
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BivarPoly",
     "BsinfError",
-    "CriticalRadius",
-    "DegenerateEliminationError",
     "DegreeZeroError",
     "DirectionCount",
     "DirectionS1",
-    "GermChart",
     "InfinityReport",
     "IrrationalDirectionError",
     "KInvariant",
@@ -74,33 +55,15 @@ __all__ = [
     "OracleConfig",
     "OracleReport",
     "ParseError",
-    "PointNotOnCurveError",
     "PointRecord",
     "ProjPointAtInfinity",
-    "RootInterval",
-    "SignedBranchCount",
-    "UncertifiedCount",
-    "UnivarPoly",
     "ZeroPolynomialError",
     "canonical_descriptor",
-    "chart_germ",
-    "count_circle_solutions",
-    "count_half_branches",
-    "count_roots_in",
-    "critical_radius_bound",
-    "direction_pair",
     "emit_normal_form",
     "equivalent_at_infinity",
-    "format_poly",
-    "isolate_real_roots",
     "k_at_infinity",
-    "leading_form",
-    "norm1",
     "oracle_k",
     "parse_poly",
-    "points_at_infinity",
     "realize_tuple",
-    "refine_root",
-    "resultant",
     "squarefree_part",
 ]

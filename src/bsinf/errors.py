@@ -45,18 +45,3 @@ class NonTransverseCircleError(BsinfError):
 
 class NotRealizableError(BsinfError):
     """Tuple with odd entry sum: not the invariant of any real algebraic curve."""
-
-
-class UncertifiedCount(BsinfError):
-    """Half-branch counts obtained through the uncertified fallback radius.
-
-    Carries the counts so callers can keep them and flag the record instead of
-    failing outright.
-    """
-
-    def __init__(self, count):
-        super().__init__(
-            f"half-branch counts ({count.plus}, {count.minus}) at radius "
-            f"{count.epsilon_used} are not certified"
-        )
-        self.count = count

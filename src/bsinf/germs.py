@@ -8,6 +8,17 @@ On (0, bound] every circle meets the germ transversally in a constant number
 of points, none on {z = 0}, so one circle count at the bound radius equals the
 half-branch count.  The elimination work runs per irreducible factor of the
 germ, which keeps the resultants small.
+
+Every count is certified: the eliminations behind the bound never degenerate.
+A resultant vanishes identically only when its two inputs share a factor.  A
+kept factor u is irreducible; when it is not rotation-invariant (those need no
+elimination), its tangential derivative h = w*u_z - z*u_w is nonzero and of no
+larger degree.  If u divided h, then h = lambda*u for a constant lambda, so
+u(R_theta p) = exp(lambda*theta)*u(p) along every rotation R_theta; theta =
+2*pi forces lambda = 0, hence h = 0, a contradiction.  Distinct irreducible factors share
+no factor, and the chart images of distinct irreducibles are distinct
+irreducibles, so the pairwise eliminations cannot degenerate either.  The only
+uncertified counts are those at a radius the caller chose (signed_counts_at).
 """
 
 from __future__ import annotations
@@ -15,26 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonTransverseCircleError, UncertifiedCount
+from .errors import NonTransverseCircleError
 from .poly import BivarPoly, UnivarPoly, irreducible_factors, resultant, univar_gcd
 from .projective import GermChart
 from .roots import count_roots_in, isolate_real_roots, min_nonzero_root_magnitude
 
-_REFINE_CAP = 64  # halvings allowed while separating a lift sign
-
-
-class _RefinementCapExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class CriticalRadius:
-    """A radius below which circle counts around the origin are stable.
-
-    certified=False marks a radius from the adaptive fallback (three equal
-    consecutive counts at radii 1/4^k) rather than from the critical-value
-    bound.
-    """
+    """A radius below which circle counts around the origin are stable,
+    certified by the critical-value bound."""
 
     bound: Fraction
     certified: bool = True
@@ -153,20 +153,22 @@ def _sign_at_root(c_sf: UnivarPoly, lo: Fraction, hi: Fraction,
                   p: UnivarPoly) -> int:
     """Sign of p at the c_sf-root inside [lo, hi], known nonzero there.
 
-    Bisects the isolating interval until p has constant sign over it; capped
-    at 64 halvings.
+    Bisects the isolating interval until p has no root in (lo, hi], then reads
+    the sign at hi.  This terminates: p is nonzero at the root r, so p has no
+    root within some distance delta of r, and after log2((hi - lo)/delta)
+    halvings the interval around r is that narrow.  The caller passes
+    p = u_e*u_o at a one-lift root, where u_o(r) != 0 (else u_e(r) = 0 too
+    and the root would have two lifts) and so u_e(r) != 0.
     """
     slo = c_sf(lo)
-    for _ in range(_REFINE_CAP):
-        if p(lo) != 0 and count_roots_in(p, lo, hi) == 0:
-            return 1 if p(lo) > 0 else -1
+    while count_roots_in(p, lo, hi) > 0:
         mid = (lo + hi) / 2
         smid = c_sf(mid)
         if slo * smid < 0:
             hi = mid
         else:
             lo, slo = mid, smid
-    raise _RefinementCapExceeded
+    return 1 if p(hi) > 0 else -1
 
 
 def _signed_counts(g: BivarPoly, eps: Fraction) -> tuple[int, int]:
@@ -209,18 +211,16 @@ def _signed_counts(g: BivarPoly, eps: Fraction) -> tuple[int, int]:
 # certified radius
 # ---------------------------------------------------------------------------
 
-def _elim(a: BivarPoly, b: BivarPoly, var: str) -> UnivarPoly | None:
-    """A univariate constraint (in the other variable) satisfied by the
-    projections of all common zeros of a and b; None when the elimination
-    degenerates (identically zero resultant)."""
+def _elim(a: BivarPoly, b: BivarPoly, var: str) -> UnivarPoly:
+    """A nonzero univariate constraint (in the other variable) satisfied by
+    the projections of all common zeros of a and b, which share no factor."""
     da, db = a.deg_in(var), b.deg_in(var)
     if da == 0:
         return _as_univar(a, var)
     if db == 0:
         return _as_univar(b, var)
     r = resultant(a, b, var)
-    if r.is_zero():
-        return None
+    assert not r.is_zero(), "coprime inputs have a nonzero resultant"
     return r
 
 
@@ -234,9 +234,9 @@ def _as_univar(p: BivarPoly, eliminated: str) -> UnivarPoly:
     return UnivarPoly(coeffs)
 
 
-def _magnitude_clause(p: UnivarPoly | None) -> Fraction | None:
+def _magnitude_clause(p: UnivarPoly) -> Fraction | None:
     """Lower bound on nonzero-root magnitudes of p; None means no constraint."""
-    if p is None or p.is_zero() or p.is_constant():
+    if p.is_zero() or p.is_constant():
         return None
     return min_nonzero_root_magnitude(p)
 
@@ -265,9 +265,17 @@ def _origin_clearance(u: BivarPoly) -> Fraction:
     return c0 / (c0 + rest)
 
 
-def _certified_bound(kept: list[BivarPoly], dropped: list[BivarPoly]) -> Fraction | None:
-    """Certified radius bound for the product of the kept factors, or None when
-    some elimination degenerates and the fallback must be used."""
+def _certified_bound(kept: list[BivarPoly], dropped: list[BivarPoly]) -> Fraction:
+    """Certified radius bound for the product of the kept factors.
+
+    The kept factors are distinct irreducibles through the origin.  For each
+    one that is not rotation-invariant, the resultants of u and its tangential
+    derivative h are nonzero, as u does not divide h (see the module
+    docstring), and their roots bound the critical values of the distance on
+    {u = 0}; so do the resultants of two distinct kept factors for their
+    common zeros.  A rotation-invariant factor only contributes its circle
+    radii, and a dropped factor the distance from the origin to its zeros.
+    """
     candidates = [Fraction(1)]
     plain = []
     for u in kept:
@@ -280,11 +288,8 @@ def _certified_bound(kept: list[BivarPoly], dropped: list[BivarPoly]) -> Fractio
                 candidates.append(min(m, Fraction(1)))
             continue
         plain.append(u)
-        r_w = _elim(u, h, "y")
-        r_z = _elim(u, h, "x")
-        if r_w is None or r_z is None:
-            return None
-        for m in (_magnitude_clause(r_w), _magnitude_clause(r_z)):
+        for m in (_magnitude_clause(_elim(u, h, "y")),
+                  _magnitude_clause(_elim(u, h, "x"))):
             if m is not None:
                 candidates.append(m)
         m = _magnitude_clause(u.subs_value("y", 0))
@@ -292,11 +297,8 @@ def _certified_bound(kept: list[BivarPoly], dropped: list[BivarPoly]) -> Fractio
             candidates.append(m)
     for i in range(len(plain)):
         for j in range(i + 1, len(plain)):
-            r_w = _elim(plain[i], plain[j], "y")
-            r_z = _elim(plain[i], plain[j], "x")
-            if r_w is None or r_z is None:
-                return None
-            for m in (_magnitude_clause(r_w), _magnitude_clause(r_z)):
+            for m in (_magnitude_clause(_elim(plain[i], plain[j], "y")),
+                      _magnitude_clause(_elim(plain[i], plain[j], "x"))):
                 if m is not None:
                     candidates.append(m)
     for u in dropped:
@@ -317,65 +319,27 @@ def _split_factors(germ: BivarPoly, factors: tuple[BivarPoly, ...] | None):
     return kept, dropped
 
 
-def _fallback_radius(germ: BivarPoly) -> CriticalRadius:
-    """Adaptive shrinking: radii 1/4^k until three consecutive equal counts."""
-    eps = Fraction(1, 4)
-    runs: list[int] = []
-    on_axis = germ.subs_value("y", 0)
-    for _ in range(200):
-        if on_axis(eps) == 0 or on_axis(-eps) == 0:
-            eps /= 4
-            runs.clear()
-            continue
-        try:
-            n = count_circle_solutions(germ, eps)
-        except NonTransverseCircleError:
-            eps /= 4
-            runs.clear()
-            continue
-        runs.append(n)
-        if len(runs) >= 3 and runs[-1] == runs[-2] == runs[-3]:
-            return CriticalRadius(eps, certified=False)
-        eps /= 4
-    raise RuntimeError("fallback radius search did not stabilize")
-
-
 def critical_radius_bound(chart: GermChart) -> CriticalRadius:
     """A radius below every positive critical value of the distance on the germ
     and below all points of the germ on {z = 0}, capped at 1."""
-    kept, dropped = _split_factors(chart.germ, None)
-    bound = _certified_bound(kept, dropped)
-    if bound is None:
-        return _fallback_radius(chart.germ)
-    return CriticalRadius(bound, certified=True)
+    return CriticalRadius(_certified_bound(*_split_factors(chart.germ, None)))
 
 
 def count_half_branches(chart: GermChart, *,
                         factors: tuple[BivarPoly, ...] | None = None) -> SignedBranchCount:
-    """Signed half-branch counts of the germ at the origin.
+    """Signed half-branch counts of the germ at the origin, certified.
 
-    Counts circle intersections at the certified radius, classified by the
-    sign of z.  When only the fallback radius is available the counts are
-    raised inside UncertifiedCount so callers can keep them flagged.
+    Counts circle intersections at the certified radius, one kept factor at a
+    time, classified by the sign of z.
     """
     kept, dropped = _split_factors(chart.germ, factors)
     bound = _certified_bound(kept, dropped)
-    if bound is not None:
-        try:
-            plus = minus = 0
-            for u in kept:
-                p, m = _signed_counts(u, bound)
-                plus += p
-                minus += m
-            return SignedBranchCount(plus, minus, bound, certified=True)
-        except _RefinementCapExceeded:
-            pass
-    cr = _fallback_radius(chart.germ)
-    try:
-        plus, minus = _signed_counts(chart.germ, cr.bound)
-    except _RefinementCapExceeded:
-        raise UncertifiedCount(SignedBranchCount(0, 0, cr.bound, certified=False))
-    raise UncertifiedCount(SignedBranchCount(plus, minus, cr.bound, certified=False))
+    plus = minus = 0
+    for u in kept:
+        p, m = _signed_counts(u, bound)
+        plus += p
+        minus += m
+    return SignedBranchCount(plus, minus, bound)
 
 
 def signed_counts_at(germ: BivarPoly, eps: Fraction) -> SignedBranchCount:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeZeroError, NotRealizableError, UncertifiedCount, ZeroPolynomialError
+from .errors import DegreeZeroError, NotRealizableError, ZeroPolynomialError
 from .germs import count_half_branches, signed_counts_at
 from .poly import BivarPoly, irreducible_factors, squarefree_part
 from .projective import (
@@ -165,10 +165,7 @@ def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> 
             germ_factors = tuple(
                 _chart_image(u, rows).normalized_primitive() for u in factors
             )
-            try:
-                cnt = count_half_branches(chart, factors=germ_factors)
-            except UncertifiedCount as exc:
-                cnt = exc.count
+            cnt = count_half_branches(chart, factors=germ_factors)
         if cnt.plus == 0 and cnt.minus == 0:
             continue
         plus_dir, minus_dir = chart.plus_direction, chart.plus_direction.antipode()

@@ -13,12 +13,17 @@ allowed ("2x" is a syntax error).  The result is returned fully expanded.
 
 Hostile input is refused before it is expanded: parentheses and unary minus
 signs may nest at most MAX_NESTING deep, no power, product or exponent may
-exceed MAX_DEGREE, and no power b^n is expanded when the largest coefficient
-of b, in bits, times n exceeds MAX_COEFF_BITS.
+exceed MAX_DEGREE, no power b^n is expanded when the largest coefficient of b,
+in bits, times n exceeds MAX_COEFF_BITS, and no power or product is expanded
+when a bound on its number of terms exceeds MAX_TERMS.  The term bound of b^n
+is min(C(t + n - 1, n), C(n*deg b + 2, 2)) for b with t terms (monomials of
+the multinomial expansion, monomials of degree at most n*deg b), and that of
+a*b is min(#a * #b, C(deg a + deg b + 2, 2)).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegreeZeroError, ParseError, ZeroPolynomialError
@@ -28,6 +33,9 @@ MAX_NESTING = 100  # '(' and unary '-' levels; far below the recursion limit
 MAX_DEGREE = 512  # largest total degree or exponent; the test corpus reaches 24
 # bit-length estimate for the coefficients of a power; the corpus reaches 69
 MAX_COEFF_BITS = 1 << 16
+# term-count bound of a power or product; the corpus reaches 246 terms and
+# (x + y + 1)^64 has 2145
+MAX_TERMS = 1 << 12
 
 
 class _Token:
@@ -106,8 +114,12 @@ class _Parser:
         while self.peek().kind == "*":
             op = self.advance()
             rhs = self.factor()
-            if acc.degree + rhs.degree > MAX_DEGREE:
+            degree = acc.degree + rhs.degree
+            if degree > MAX_DEGREE:
                 raise ParseError(f"product of degree above {MAX_DEGREE}", op.pos)
+            if min(len(acc.terms) * len(rhs.terms),
+                   math.comb(degree + 2, 2)) > MAX_TERMS:
+                raise ParseError(f"product of more than {MAX_TERMS} terms", op.pos)
             acc = acc * rhs
         return acc
 
@@ -128,6 +140,10 @@ class _Parser:
             if _coeff_bits(b) * n > MAX_COEFF_BITS:
                 raise ParseError(f"power with coefficients above {MAX_COEFF_BITS} bits",
                                  tok.pos)
+            t = max(len(b.terms), 1)
+            if min(math.comb(t + n - 1, n),
+                   math.comb(n * max(b.degree, 0) + 2, 2)) > MAX_TERMS:
+                raise ParseError(f"power of more than {MAX_TERMS} terms", tok.pos)
             b = b ** n
         return b
 

@@ -207,27 +207,6 @@ def univar_gcd(a: UnivarPoly, b: UnivarPoly) -> UnivarPoly:
     return a.scale(1 / a.leading())
 
 
-def univariate_resultant(f: UnivarPoly, g: UnivarPoly) -> Fraction:
-    """Resultant of two univariate polynomials, equal to the Sylvester determinant."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    m, n = f.degree, g.degree
-    if m == 0 and n == 0:
-        return Fraction(1)
-    if n == 0:
-        return g.leading() ** m
-    if m == 0:
-        return f.leading() ** n
-    if m < n:
-        sign = -1 if (m * n) % 2 else 1
-        return sign * univariate_resultant(g, f)
-    r = f.rem(g)
-    if r.is_zero():
-        return Fraction(0)
-    sign = -1 if (m * n) % 2 else 1
-    return sign * g.leading() ** (m - r.degree) * univariate_resultant(g, r)
-
-
 # ---------------------------------------------------------------------------
 # bivariate polynomials (sparse)
 # ---------------------------------------------------------------------------
@@ -529,10 +508,17 @@ def format_poly(f: BivarPoly, names: tuple[str, str] = ("x", "y")) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge: squarefree part and irreducible factor split
+# sympy bridge: squarefree part, irreducible factor split, resultants and the
+# univariate tools of roots.py
 # ---------------------------------------------------------------------------
 
 _SX, _SY = sympy.symbols("x y")
+_ST = sympy.Symbol("t")
+
+
+def from_sympy_rational(c) -> Fraction:
+    c = sympy.Rational(c)
+    return Fraction(int(c.p), int(c.q))
 
 
 def to_sympy_poly(f: BivarPoly) -> sympy.Poly:
@@ -543,11 +529,20 @@ def to_sympy_poly(f: BivarPoly) -> sympy.Poly:
 def from_sympy_poly(p: sympy.Poly) -> BivarPoly:
     terms = {}
     for monom, c in p.as_dict().items():
-        c = sympy.Rational(c)
         if len(monom) == 1:
             monom = (monom[0], 0)
-        terms[monom] = Fraction(int(c.p), int(c.q))
+        terms[monom] = from_sympy_rational(c)
     return BivarPoly(terms)
+
+
+def to_sympy_univar(p: UnivarPoly) -> sympy.Poly:
+    rep = {(k,): sympy.Rational(c.numerator, c.denominator)
+           for k, c in enumerate(p.coeffs) if c}
+    return sympy.Poly.from_dict(rep, _ST, domain="QQ")
+
+
+def from_sympy_univar(p: sympy.Poly) -> UnivarPoly:
+    return UnivarPoly([from_sympy_rational(c) for c in reversed(p.all_coeffs())])
 
 
 def squarefree_part(f: BivarPoly) -> BivarPoly:
@@ -594,48 +589,14 @@ def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
 # ---------------------------------------------------------------------------
 
 def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
-    """Sylvester resultant eliminating `var`, as a polynomial in the other variable.
-
-    Computed by evaluation at integer points and Lagrange interpolation; each
-    specialization uses the Euclidean recursion, which reproduces the Sylvester
-    determinant exactly (including sign).
-    """
+    """Sylvester resultant eliminating `var`, as a polynomial in the other
+    variable: sympy's exact `Poly.resultant`, which has the sign of the
+    Sylvester determinant of f and g."""
     if var not in ("x", "y"):
         raise ValueError("var must be 'x' or 'y'")
-    other = "y" if var == "x" else "x"
     m, n = f.deg_in(var), g.deg_in(var)
     if m <= 0 or n <= 0:
         raise DegenerateEliminationError(f"input of degree {min(m, n)} in {var}")
-    # degree bound from the Sylvester matrix rows
-    bound = n * max(f.deg_in(other), 0) + m * max(g.deg_in(other), 0)
-    f_rows = f.coeffs_in(var)
-    g_rows = g.coeffs_in(var)
-    lf, lg = f_rows[-1], g_rows[-1]
-
-    points: list[tuple[Fraction, Fraction]] = []
-    t = 0
-    while len(points) < bound + 1:
-        tq = Fraction(t)
-        # degree drop at a sample point would change the determinant; skip it
-        if lf(tq) != 0 and lg(tq) != 0:
-            ft = UnivarPoly([row(tq) for row in f_rows])
-            gt = UnivarPoly([row(tq) for row in g_rows])
-            points.append((tq, univariate_resultant(ft, gt)))
-        t = -t if t > 0 else -t + 1
-    return _lagrange(points)
-
-
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> UnivarPoly:
-    result = UnivarPoly()
-    xs = [p[0] for p in points]
-    for k, (xk, yk) in enumerate(points):
-        if yk == 0:
-            continue
-        num = UnivarPoly.constant(1)
-        den = Fraction(1)
-        for i, xi in enumerate(xs):
-            if i != k:
-                num = num * UnivarPoly([-xi, 1])
-                den *= xk - xi
-        result = result + num.scale(yk / den)
-    return result
+    gens = (_SX, _SY) if var == "x" else (_SY, _SX)  # sympy eliminates the first
+    sf, sg = to_sympy_poly(f).reorder(*gens), to_sympy_poly(g).reorder(*gens)
+    return from_sympy_univar(sf.resultant(sg))

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import (
     DegreeZeroError,
     IrrationalDirectionError,
@@ -21,9 +19,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import BivarPoly, UnivarPoly, format_poly
-from .roots import count_roots_in, cauchy_root_bound
-
-_T = sympy.Symbol("t")
+from .roots import isolate_real_roots
 
 
 def _normalize_pair(a: int, b: int) -> tuple[int, int]:
@@ -105,16 +101,6 @@ def leading_form(f: BivarPoly) -> BivarPoly:
     return f.homogeneous_part(f.degree)
 
 
-def _univar_from_sympy(p: sympy.Poly) -> UnivarPoly:
-    coeffs: dict[int, Fraction] = {}
-    for (k,), c in p.as_dict().items():
-        c = sympy.Rational(c)
-        coeffs[k] = Fraction(int(c.p), int(c.q))
-    if not coeffs:
-        return UnivarPoly()
-    return UnivarPoly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
-
-
 def points_at_infinity(f: BivarPoly) -> list[ProjPointAtInfinity]:
     """Real projective roots of the leading form, sorted lexicographically.
 
@@ -129,24 +115,14 @@ def points_at_infinity(f: BivarPoly) -> list[ProjPointAtInfinity]:
     if restricted.degree < d:
         points.append(ProjPointAtInfinity((0, 1)))
     if restricted.degree >= 1:
-        rep = {(k,): sympy.Rational(c.numerator, c.denominator)
-               for k, c in enumerate(restricted.coeffs) if c}
-        sp = sympy.Poly.from_dict(rep, _T, domain="QQ")
-        for fac, _ in sp.factor_list()[1]:
-            if fac.degree() == 1:
-                a, b = fac.nth(1), fac.nth(0)
-                slope = Fraction(-int(b.p), int(b.q)) / Fraction(int(a.p), int(a.q))
-                points.append(
-                    ProjPointAtInfinity((slope.denominator, slope.numerator))
+        for iv in isolate_real_roots(restricted):
+            if iv.exact_point is None:
+                raise IrrationalDirectionError(
+                    "the leading form has an irrational real projective root; "
+                    "such directions have no primitive integer representative"
                 )
-            elif fac.degree() >= 2:
-                u = _univar_from_sympy(fac)
-                bound = cauchy_root_bound(u)
-                if count_roots_in(u, -bound, bound) > 0:
-                    raise IrrationalDirectionError(
-                        "the leading form has an irrational real projective root; "
-                        "such directions have no primitive integer representative"
-                    )
+            slope = iv.exact_point
+            points.append(ProjPointAtInfinity((slope.denominator, slope.numerator)))
     return sorted(points, key=lambda p: p.rep)
 
 

@@ -1,8 +1,8 @@
 """Certified real-root tools for univariate polynomials over Q.
 
-Sturm-sequence sign-variation counting plus dyadic bisection; rational roots
-are extracted exactly, so isolating intervals for the remaining roots never
-have roots at their endpoints.
+Sturm-sequence sign-variation counting and dyadic bisection; rational roots
+are extracted exactly and the others isolated by sympy, so isolating
+intervals for the remaining roots never have roots at their endpoints.
 """
 
 from __future__ import annotations
@@ -10,11 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
-from .poly import UnivarPoly
-
-_T = sympy.Symbol("t")
+from .poly import UnivarPoly, from_sympy_rational, to_sympy_univar
 
 
 @dataclass(frozen=True)
@@ -75,28 +71,12 @@ def count_roots_in(p: UnivarPoly, low: Fraction, high: Fraction) -> int:
     return sign_variations(chain, low) - sign_variations(chain, high)
 
 
-def cauchy_root_bound(p: UnivarPoly) -> Fraction:
-    """A dyadic B with every real root of p strictly inside (-B, B)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    lc = abs(p.leading())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    bound = 1 + m / lc
-    b = Fraction(1)
-    while b < bound:
-        b *= 2
-    return b
-
-
 def _rational_roots(p: UnivarPoly) -> list[Fraction]:
     """All rational roots of p, via exact univariate factorization."""
-    rep = {(k,): sympy.Rational(c.numerator, c.denominator) for k, c in enumerate(p.coeffs) if c}
-    sp = sympy.Poly.from_dict(rep, _T, domain="QQ")
     roots = []
-    for fac, _ in sp.factor_list()[1]:
+    for fac, _ in to_sympy_univar(p).factor_list()[1]:
         if fac.degree() == 1:
-            a, b = fac.nth(1), fac.nth(0)
-            roots.append(Fraction(-int(b.p), int(b.q)) / Fraction(int(a.p), int(a.q)))
+            roots.append(-from_sympy_rational(fac.nth(0)) / from_sympy_rational(fac.nth(1)))
     return sorted(roots)
 
 
@@ -118,25 +98,8 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
 
     intervals = [RootInterval(q, q, q) for q in exact]
     if rest.degree > 0:
-        chain = sturm_chain(rest)
-        b = cauchy_root_bound(rest)
-        out: list[tuple[Fraction, Fraction]] = []
-
-        def rec(lo: Fraction, hi: Fraction, vlo: int, vhi: int) -> None:
-            k = vlo - vhi
-            if k == 0:
-                return
-            if k == 1:
-                out.append((lo, hi))
-                return
-            mid = (lo + hi) / 2
-            vm = sign_variations(chain, mid)  # rest has no rational roots
-            rec(lo, mid, vlo, vm)
-            rec(mid, hi, vm, vhi)
-
-        rec(-b, b, sign_variations(chain, -b), sign_variations(chain, b))
-
-        for lo, hi in out:
+        for (a, b), _ in to_sympy_univar(rest).intervals():
+            lo, hi = from_sympy_rational(a), from_sympy_rational(b)
             # shrink until no rational root of p sits inside the interval
             while any(lo <= q <= hi for q in exact):
                 mid = (lo + hi) / 2

@@ -147,7 +147,7 @@ def test_criterion_5_germ_families():
         ])
     for germ, want in table:
         cnt = count_half_branches(_family_chart(germ))
-        assert cnt.certified, f"fallback path used for {germ}"
+        assert cnt.certified, f"uncertified count for {germ}"
         assert (cnt.plus, cnt.minus) == want, f"{germ}: {(cnt.plus, cnt.minus)} != {want}"
     _report(5, True, f"all {len(table)} monomial-family germs match with certified radii")
 

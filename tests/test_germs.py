@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from bsinf.errors import NonTransverseCircleError, UncertifiedCount
+from bsinf.errors import NonTransverseCircleError
 from bsinf.germs import (
+    _sign_at_root,
     count_circle_solutions,
     count_half_branches,
     critical_radius_bound,
     signed_counts_at,
 )
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, irreducible_factors
+from bsinf.poly import BivarPoly, UnivarPoly, irreducible_factors
 from bsinf.projective import DirectionS1, GermChart, ProjPointAtInfinity, chart_germ, points_at_infinity
 
 from conftest import trace_signed_counts
@@ -172,25 +173,13 @@ def test_epsilon_on_axis_point_rejected():
         signed_counts_at(germ, Fraction(1, 2))
 
 
-def test_fallback_radius_stabilizes():
-    from bsinf.germs import _fallback_radius
-
-    germ = Z - W ** 3
-    cr = _fallback_radius(germ)
-    assert not cr.certified and 0 < cr.bound < 1
-    assert count_circle_solutions(germ, cr.bound) == 2
-    # the fallback skips radii whose circle hits the curve on z = 0
-    on_axis = (Z - W) * (W - BivarPoly.constant(Fraction(1, 16)))
-    cr = _fallback_radius(on_axis)
-    assert on_axis.subs_value("y", 0)(cr.bound) != 0
-
-
-def test_uncertified_counts_carried_in_exception(monkeypatch):
-    import bsinf.germs as germs_mod
-
-    monkeypatch.setattr(germs_mod, "_certified_bound", lambda kept, dropped: None)
-    with pytest.raises(UncertifiedCount) as exc:
-        count_half_branches(make_chart(Z - W ** 3))
-    cnt = exc.value.count
-    assert (cnt.plus, cnt.minus) == (1, 1)
-    assert not cnt.certified
+def test_sign_at_root_is_exact():
+    # below = floor(sqrt(2) * 2^80) / 2^80 and above = below + 2^-80 bracket
+    # sqrt(2); t - below and t - above keep one sign only on intervals around
+    # sqrt(2) narrower than about 2^-80
+    below = Fraction(math.isqrt(2 << 160), 1 << 80)
+    above = below + Fraction(1, 1 << 80)
+    c_sf = UnivarPoly([-2, 0, 1])
+    assert _sign_at_root(c_sf, Fraction(1), Fraction(2), UnivarPoly([-below, 1])) == 1
+    assert _sign_at_root(c_sf, Fraction(1), Fraction(2), UnivarPoly([below, -1])) == -1
+    assert _sign_at_root(c_sf, Fraction(1), Fraction(2), UnivarPoly([-above, 1])) == -1

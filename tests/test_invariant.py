@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -170,11 +171,8 @@ def test_even_entry_sum_on_random_products(rng):
         assert norm1(k_at_infinity(f).k) % 2 == 0
 
 
-def test_uncertified_counts_become_record_flags(monkeypatch):
-    import bsinf.germs as germs_mod
-
-    monkeypatch.setattr(germs_mod, "_certified_bound", lambda kept, dropped: None)
-    report = k_at_infinity(parse_poly("y^2 - x^3"))
+def test_uncertified_counts_become_record_flags():
+    report = k_at_infinity(parse_poly("y^2 - x^3"), epsilon_override=Fraction(1, 16))
     assert report.k.entries == (1, 1)
     assert all(not rec.certified for rec in report.records)
 

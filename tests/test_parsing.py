@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf.errors import DegreeZeroError, ParseError, ZeroPolynomialError
-from bsinf.parsing import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, parse_poly
+from bsinf.parsing import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_poly
 from bsinf.poly import BivarPoly
 
 
@@ -155,6 +155,47 @@ def test_huge_coefficient_cli_error_is_one_line(capsys):
     assert not captured.out
     assert len(captured.err.strip().splitlines()) == 1
     assert "bits" in captured.err
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_dense_power_fails_fast(capsys, n):
+    from bsinf.cli import main
+
+    text = f"(x + y + 1)^{n}"
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.offset == len("(x + y + 1)^")
+    t0 = time.perf_counter()
+    code = main(["invariant", text])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "terms" in captured.err
+
+
+def _sum_text(var: str, count: int) -> str:
+    return " + ".join(f"{var}^{k}" for k in range(1, count + 1))
+
+
+def test_term_limit_boundary():
+    assert MAX_TERMS == 4096
+    # (x + y + 1)^64 has C(66, 2) = 2145 terms and stays accepted
+    assert len(parse_poly("(x + y + 1)^64").terms) == 2145
+    # a square of t terms is bounded by C(t + 1, 2): 4095 for t = 90, 4186 for 91
+    assert parse_poly(f"({_sum_text('x', 90)})^2").degree == 180
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"({_sum_text('x', 91)})^2")
+    assert "terms" in str(exc.value)
+    # a product of 64 by 64 terms has 4096, of 64 by 65 terms 4160
+    a, b = _sum_text("x", 64), _sum_text("y", 64)
+    assert len(parse_poly(f"({a})*({b})").terms) == 4096
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"({a})*({b} + 1)")
+    assert exc.value.offset == len(f"({a})")
 
 
 @st.composite

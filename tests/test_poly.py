@@ -12,7 +12,6 @@ from bsinf.poly import (
     irreducible_factors,
     resultant,
     squarefree_part,
-    univariate_resultant,
 )
 
 from conftest import sylvester_resultant
@@ -147,11 +146,12 @@ def test_resultant_degenerate_inputs():
 
 
 def test_univariate_resultant_signs():
-    # res(x - a, x - b) = b - a
-    f = UnivarPoly([-2, 1])
-    g = UnivarPoly([-5, 1])
-    assert univariate_resultant(f, g) == Fraction(-3)
-    assert univariate_resultant(g, f) == Fraction(3)
+    # res(v - a, v - b) = b - a, for inputs in the eliminated variable v only
+    for var in ("x", "y"):
+        f = parse_poly(f"{var} - 2")
+        g = parse_poly(f"{var} - 5")
+        assert resultant(f, g, var) == UnivarPoly([-3])
+        assert resultant(g, f, var) == UnivarPoly([3])
 
 
 @pytest.mark.parametrize("cls, base", [
