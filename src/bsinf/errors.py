@@ -27,10 +27,6 @@ class DegenerateEliminationError(BsinfError):
     """Resultant requested with respect to a variable one input does not contain."""
 
 
-class PointNotOnCurveError(BsinfError):
-    """Chart requested at a projective point not on the curve's leading form."""
-
-
 class IrrationalDirectionError(BsinfError):
     """The leading form has a real projective root with no rational representative.
 
@@ -40,7 +36,7 @@ class IrrationalDirectionError(BsinfError):
 
 
 class NonTransverseCircleError(BsinfError):
-    """The sample circle is a component of the curve; the caller must perturb eps."""
+    """The sample circle is a component of the curve; the caller must choose another radius."""
 
 
 class NotRealizableError(BsinfError):

@@ -1,210 +1,170 @@
-"""Certified counting of the real half-branches of a plane curve germ at the
-origin, split by the sign of z.
+"""Certified counting of the real half-branches of a plane curve at each of
+its directions at infinity, on large circles about the origin.
 
-The certificate is a rational radius bound below every positive critical value
-of the distance function on the germ, below the nearest curve point on
-{z = 0}, below the nearest common zero of two distinct factors and below 1.
-On (0, bound] every circle meets the germ transversally in a constant number
-of points, none on {z = 0}, so one circle count at the bound radius equals the
-half-branch count.  The elimination work runs per irreducible factor of the
-germ, which keeps the resultants small.
+A small circle around a point at infinity is a large circle in the affine
+plane: the conic structure at infinity.  The circle of radius R is
+parametrized as p(t) = R*M(1 - t^2, 2t)/(1 + t^2), t in R or t = oo, with M a
+rational rotation chosen so that p(oo) = -R*M(1, 0) is no direction of the
+curve.  The curve's directions +-(alpha, beta), one pair per point at
+infinity [alpha : beta], are then finite real roots in t.  Rational separators between those
+roots, and t = oo, cut the circle into sectors, each holding one direction;
+the separators give rays from the origin.
 
-Every count is certified: the eliminations behind the bound never degenerate.
-A resultant vanishes identically only when its two inputs share a factor.  A
-kept factor u is irreducible; when it is not rotation-invariant (those need no
-elimination), its tangential derivative h = w*u_z - z*u_w is nonzero and of no
-larger degree.  If u divided h, then h = lambda*u for a constant lambda, so
-u(R_theta p) = exp(lambda*theta)*u(p) along every rotation R_theta; theta =
-2*pi forces lambda = 0, hence h = 0, a contradiction.  Distinct irreducible factors share
-no factor, and the chart images of distinct irreducibles are distinct
-irreducibles, so the pairwise eliminations cannot degenerate either.  The only
-uncertified counts are those at a radius the caller chose (signed_counts_at).
+Certificate.  Only an irreducible factor u whose leading form vanishes at a
+point at infinity is counted.  Any other factor has a definite leading form,
+so its real zero set is bounded and it has no branch at infinity.  That
+includes every rotation-invariant factor U(x^2 + y^2), whose leading form is
+a power of x^2 + y^2.  For a counted u the radius R lies beyond two kinds of
+critical radii:
+
+- Transversality.  A circle is tangent to {u = 0}, or meets a singular point
+  of it, only at a common zero of u and its tangential derivative
+  h = x*u_y - y*u_x.  A counted u is not rotation-invariant, and it does not
+  divide h: h = lambda*u would give u(R_theta p) = exp(lambda*theta)*u(p)
+  along every rotation R_theta, and theta = 2*pi forces lambda = 0, hence
+  h = 0.  So u and h are coprime, their eliminations of y and of x are
+  nonzero, and root bounds Bx, By of those put every common zero within
+  radius (Bx^2 + By^2)^(1/2).
+- Separators.  On a separator ray s*v, s > 0, u has degree deg u in s, as v
+  is no direction of the curve; a root bound of u(s*v), times |v|, bounds
+  the radius of the curve points on that ray.
+
+Beyond R every circle meets {u = 0} transversally and off the separator
+rays.  So outside the disc of radius R, {u = 0} is a union of arcs, each
+meeting every larger circle once and never leaving its sector.  Each arc
+goes to infinity, so its limit direction is a direction of the curve in the
+closed sector, which is the sector's own.  Hence the number of real roots of
+(1 + t^2)^deg u * u(p(t)) in a sector, a Sturm count, is the number of
+half-branches of u at the sector's direction.  Distinct factors meet in
+finitely many points, so the half-branches of the curve are those of its
+factors, and the counts add.  Only upper bounds enter: no pairwise
+eliminations, clearances or smallest root magnitudes.
+
+The only uncertified counts are those of the whole curve at a caller-chosen
+radius 1/epsilon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import NonTransverseCircleError
-from .poly import BivarPoly, UnivarPoly, irreducible_factors, resultant, univar_gcd
-from .projective import GermChart
-from .roots import count_roots_in, isolate_real_roots, min_nonzero_root_magnitude
-
-@dataclass(frozen=True)
-class CriticalRadius:
-    """A radius below which circle counts around the origin are stable,
-    certified by the critical-value bound."""
-
-    bound: Fraction
-    certified: bool = True
+from .poly import BivarPoly, UnivarPoly, irreducible_factors, resultant
+from .projective import ProjPointAtInfinity, leading_form
+from .roots import isolate_real_roots, sign_variations, sturm_chain
 
 
 @dataclass(frozen=True)
-class SignedBranchCount:
-    """Half-branch counts of a germ at the origin by sign of z."""
+class Sectors:
+    """The rotation M = (c, s) of the circle parametrization, the finite
+    separators in increasing order (t = oo closes the list), and per sector,
+    from t = -oo up, its point at infinity and side (+1 for the direction
+    +(alpha, beta) of the point's representative, -1 for its antipode)."""
 
-    plus: int
-    minus: int
-    epsilon_used: Fraction
-    certified: bool = True
+    rotation: tuple[Fraction, Fraction]
+    separators: tuple[Fraction, ...]
+    labels: tuple[tuple[ProjPointAtInfinity, int], ...]
 
 
-# ---------------------------------------------------------------------------
-# circle restriction
-# ---------------------------------------------------------------------------
+def _rotation(lf: BivarPoly) -> tuple[Fraction, Fraction]:
+    """The first Pythagorean rotation (c, s) = ((1 - m^2), 2m)/(1 + m^2),
+    m = 0, 1, 1/2, 1/3, ..., with lf(c, s) != 0; lf has finitely many roots."""
+    for k in count():
+        m = Fraction(1, k) if k else Fraction(0)
+        c, s = (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
+        if lf.evaluate(c, s) != 0:
+            return c, s
 
-def _circle_restriction(g: BivarPoly, eps: Fraction) -> tuple[UnivarPoly, UnivarPoly]:
-    """Split g = g_e(w, z^2) + z*g_o(w, z^2) and substitute z^2 = eps^2 - w^2.
 
-    Returns (U_e, U_o); points of {g = 0} on the eps-circle over abscissa w0
-    satisfy U_e(w0) + z*U_o(w0) = 0 with z^2 = eps^2 - w0^2.
+def circle_sectors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> Sectors:
+    """The sectors of the circles about the origin for the curve f with the
+    given points at infinity.
+
+    In the rotated frame a point's representative is (a, b) = M^T(alpha,
+    beta), and cross(t) = b*t^2 + 2a*t - b, the cross product of (a, b) with
+    (1 - t^2, 2t), vanishes at its two directions.  The product of the cross
+    polynomials has the curve's directions as its simple real roots.
     """
-    bsq = eps * eps
-    b_poly = UnivarPoly([bsq, Fraction(0), Fraction(-1)])
-    max_half = max((j // 2 for (_, j) in g.terms), default=0)
-    b_pows = [UnivarPoly.constant(1)]
-    for _ in range(max_half):
-        b_pows.append(b_pows[-1] * b_poly)
-    even: dict[tuple[int, int], Fraction] = {}
-    odd: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in g.items():
-        if j % 2 == 0:
-            even[(i, j // 2)] = c
-        else:
-            odd[(i, (j - 1) // 2)] = c
-
-    def assemble(parts: dict[tuple[int, int], Fraction]) -> UnivarPoly:
-        acc = UnivarPoly()
-        for (i, k), c in parts.items():
-            acc = acc + (b_pows[k] * UnivarPoly([Fraction(0)] * i + [c]))
-        return acc
-
-    return assemble(even), assemble(odd)
-
-
-def count_circle_solutions(g: BivarPoly, eps: Fraction) -> int:
-    """Exact number of points of {g = 0} on the circle w^2 + z^2 = eps^2.
-
-    Raises NonTransverseCircleError when the circle is a component of {g = 0}.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    u_e, u_o = _circle_restriction(g, eps)
-    b_poly = UnivarPoly([eps * eps, Fraction(0), Fraction(-1)])
-    c_poly = u_e * u_e - b_poly * (u_o * u_o)
-    if c_poly.is_zero():
-        raise NonTransverseCircleError("the sample circle lies inside the curve")
-    total = 0
-    for pos, _, _, both in _classified_roots(c_poly, u_e, u_o, eps):
-        if pos == "endpoint":
-            total += 1
-        elif pos == "interior":
-            total += 2 if both else 1
-    return total
-
-
-def _classified_roots(c_poly: UnivarPoly, u_e: UnivarPoly, u_o: UnivarPoly,
-                      eps: Fraction):
-    """Yield (position, lo, hi, both_lifts) for each real root of c_poly.
-
-    position is 'endpoint' (w = +-eps, the z = 0 points), 'interior'
-    (|w| < eps, one or two lifts) or 'outside' (no real lift).
-    """
-    sf = c_poly.squarefree()
-    gcd_eo = None  # roots of c with both lifts are common roots of u_e, u_o
-    for iv in isolate_real_roots(c_poly):
-        if iv.exact_point is not None:
-            q = iv.exact_point
-            if q == eps or q == -eps:
-                yield ("endpoint", q, q, False)
-            elif -eps < q < eps:
-                yield ("interior", q, q, u_o(q) == 0 and u_e(q) == 0)
-            else:
-                yield ("outside", q, q, False)
-            continue
+    c, s = _rotation(leading_form(f))
+    frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
+    crosses = [UnivarPoly([-b, 2 * a, b]) for a, b in frames]
+    roots = isolate_real_roots(math.prod(crosses, start=UnivarPoly.constant(1)))
+    labels = []
+    for iv in roots:
         lo, hi = iv.low, iv.high
-        slo = sf(lo)
-        # refine until the interval is strictly inside or outside (-eps, eps);
-        # +-eps are rational, hence never this (irrational) root
-        while not ((-eps < lo and hi < eps) or hi < -eps or lo > eps):
-            mid = (lo + hi) / 2
-            smid = sf(mid)
-            if slo * smid < 0:
-                hi = mid
+        for point, (a, b), cross in zip(points, frames, crosses):
+            if iv.exact_point is not None and cross(lo) == 0:
+                # the sign of the dot product of (a, b) with (1 - t^2, 2t)
+                plus = a * (1 - lo * lo) + 2 * b * lo > 0
+            elif iv.exact_point is None and cross(lo) * cross(hi) < 0:
+                # an irrational root r, so b != 0, and there the dot product
+                # is 2r(a^2 + b^2)/b: its sign is that of r*b
+                positive = lo >= 0 or (hi > 0 and cross(0) * cross(hi) < 0)
+                plus = positive == (b > 0)
             else:
-                lo, slo = mid, smid
-        if hi < -eps or lo > eps:
-            yield ("outside", lo, hi, False)
-            continue
-        both = False
-        if u_o.is_zero() or u_e.is_zero():
-            both = True
-        else:
-            if gcd_eo is None:
-                gcd_eo = univar_gcd(sf, u_o)
-            if gcd_eo.degree >= 1 and count_roots_in(gcd_eo, lo, hi) == 1:
-                both = True
-        yield ("interior", lo, hi, both)
+                continue
+            labels.append((point, 1 if plus else -1))
+            break
+    assert len(labels) == len(roots), "each direction is a root of one cross"
+    separators = tuple((a.high + b.low) / 2 for a, b in zip(roots, roots[1:]))
+    return Sectors((c, s), separators, tuple(labels))
 
 
-def _sign_at_root(c_sf: UnivarPoly, lo: Fraction, hi: Fraction,
-                  p: UnivarPoly) -> int:
-    """Sign of p at the c_sf-root inside [lo, hi], known nonzero there.
+# ---------------------------------------------------------------------------
+# counting on one circle
+# ---------------------------------------------------------------------------
 
-    Bisects the isolating interval until p has no root in (lo, hi], then reads
-    the sign at hi.  This terminates: p is nonzero at the root r, so p has no
-    root within some distance delta of r, and after log2((hi - lo)/delta)
-    halvings the interval around r is that narrow.  The caller passes
-    p = u_e*u_o at a one-lift root, where u_o(r) != 0 (else u_e(r) = 0 too
-    and the root would have two lifts) and so u_e(r) != 0.
+def _restriction(g: BivarPoly, radius: Fraction, sectors: Sectors) -> UnivarPoly:
+    """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius."""
+    c, s = sectors.rotation
+    x = UnivarPoly([c, -2 * s, -c]).scale(radius)
+    y = UnivarPoly([s, 2 * c, -s]).scale(radius)
+    w = UnivarPoly([1, 0, 1])
+    x_pows = [UnivarPoly.constant(1)]
+    for _ in range(g.degree):
+        x_pows.append(x_pows[-1] * x)
+    parts: dict[int, dict[int, Fraction]] = {}
+    for (i, j), cf in g.items():
+        parts.setdefault(i + j, {})[j] = cf
+    acc = UnivarPoly()
+    for k in range(g.degree + 1):
+        row = parts.get(k, {})
+        part = UnivarPoly()  # the degree-k part of g at (x, y), Horner in y
+        for j in range(k, -1, -1):
+            part = part * y
+            if j in row:
+                part = part + x_pows[k - j].scale(row[j])
+        acc = acc * w + part
+    return acc
+
+
+def _variations_at_infinity(chain: list[UnivarPoly], side: int) -> int:
+    """Sign variations of a Sturm chain at t = side*oo."""
+    signs = [q.leading() * side ** q.degree > 0 for q in chain]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _signed_counts(g: BivarPoly, radius: Fraction, sectors: Sectors) -> list[int]:
+    """Points of {g = 0} on the circle of the given radius, per sector.
+
+    Raises NonTransverseCircleError when the circle is a component of
+    {g = 0}, and ValueError when a curve point lies on a separator ray.
     """
-    slo = c_sf(lo)
-    while count_roots_in(p, lo, hi) > 0:
-        mid = (lo + hi) / 2
-        smid = c_sf(mid)
-        if slo * smid < 0:
-            hi = mid
-        else:
-            lo, slo = mid, smid
-    return 1 if p(hi) > 0 else -1
-
-
-def _signed_counts(g: BivarPoly, eps: Fraction) -> tuple[int, int]:
-    """(plus, minus) counts of {g = 0} on the eps-circle by sign of z.
-
-    Requires that no intersection lies on {z = 0} (i.e. g(+-eps, 0) != 0).
-    """
-    u_e, u_o = _circle_restriction(g, eps)
-    b_poly = UnivarPoly([eps * eps, Fraction(0), Fraction(-1)])
-    c_poly = u_e * u_e - b_poly * (u_o * u_o)
-    if c_poly.is_zero():
+    p = _restriction(g, radius, sectors)
+    if p.is_zero():
         raise NonTransverseCircleError("the sample circle lies inside the curve")
-    if g.subs_value("y", 0)(eps) == 0 or g.subs_value("y", 0)(-eps) == 0:
-        raise ValueError(
-            "the circle passes through a curve point on z = 0; "
-            "counts by z-sign are undefined at this radius"
-        )
-    sf = c_poly.squarefree()
-    plus = minus = 0
-    for pos, lo, hi, both in _classified_roots(c_poly, u_e, u_o, eps):
-        if pos != "interior":
-            continue
-        if both:
-            plus += 1
-            minus += 1
-            continue
-        # one lift: z = -u_e/u_o at the root, so sign(z) = -sign(u_e*u_o)
-        if lo == hi:
-            s = -1 if u_e(lo) * u_o(lo) > 0 else 1
-        else:
-            s = -_sign_at_root(sf, lo, hi, u_e * u_o)
-        if s > 0:
-            plus += 1
-        else:
-            minus += 1
-    return plus, minus
+    # the t^(2 deg g) coefficient of p is g(p(oo))
+    if p.degree < 2 * g.degree or any(p(t) == 0 for t in sectors.separators):
+        raise ValueError("the circle meets the curve on a separator ray; "
+                         "counts by sector are undefined at this radius")
+    chain = sturm_chain(p.squarefree())
+    variations = ([_variations_at_infinity(chain, -1)]
+                  + [sign_variations(chain, t) for t in sectors.separators]
+                  + [_variations_at_infinity(chain, 1)])
+    return [a - b for a, b in zip(variations, variations[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -234,118 +194,68 @@ def _as_univar(p: BivarPoly, eliminated: str) -> UnivarPoly:
     return UnivarPoly(coeffs)
 
 
-def _magnitude_clause(p: UnivarPoly) -> Fraction | None:
-    """Lower bound on nonzero-root magnitudes of p; None means no constraint."""
-    if p.is_zero() or p.is_constant():
-        return None
-    return min_nonzero_root_magnitude(p)
+def _root_bound(p: UnivarPoly) -> Fraction:
+    """Cauchy's bound 1 + max |c_k/c_n| on the real roots of p; 0 without roots."""
+    if p.degree <= 0:
+        return Fraction(0)
+    lead = abs(p.leading())
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
-def _tangential_derivative(u: BivarPoly) -> BivarPoly:
-    # derivative of u along circles: w * du/dz - z * du/dw
-    return BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
+def _certified_bound(u: BivarPoly, sectors: Sectors) -> Fraction:
+    """The certified radius R of a counted irreducible u: the first power of
+    2 whose square exceeds Bx^2 + By^2 and the squared radius bound of the
+    points of u on each separator ray (see the module docstring)."""
+    h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
+    squares = [_root_bound(_elim(u, h, "y")) ** 2 + _root_bound(_elim(u, h, "x")) ** 2]
+    c, s = sectors.rotation
+    rays = [(c * (1 - t * t) - 2 * s * t, s * (1 - t * t) + 2 * c * t)
+            for t in sectors.separators]
+    for vx, vy in rays + [(-c, -s)]:
+        along = [Fraction(0)] * (u.degree + 1)  # u(s*v) as a polynomial in s
+        for (i, j), cf in u.items():
+            along[i + j] += cf * vx ** i * vy ** j
+        squares.append(_root_bound(UnivarPoly(along)) ** 2 * (vx * vx + vy * vy))
+    bound = max(squares)
+    radius = Fraction(1)
+    while radius * radius <= bound:
+        radius *= 2
+    return radius
 
 
-def _radial_profile(u: BivarPoly) -> UnivarPoly:
-    """For a rotation-invariant u = U(w^2 + z^2), recover U."""
-    restricted = u.subs_value("y", 0)  # U(w^2)
-    coeffs = restricted.coeffs
-    assert all(c == 0 for k, c in enumerate(coeffs) if k % 2 == 1)
-    return UnivarPoly([coeffs[k] for k in range(0, len(coeffs), 2)])
+def counted_factors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> list[BivarPoly]:
+    """The irreducible factors of f whose leading form vanishes at one of its
+    points at infinity; the others have no branch at infinity."""
+    return [u for u in irreducible_factors(f)
+            if any(leading_form(u).evaluate(*p.rep) == 0 for p in points)]
 
 
-def _origin_clearance(u: BivarPoly) -> Fraction:
-    """A positive radius below the distance from the origin to {u = 0},
-    for u with u(0, 0) != 0."""
-    c0 = abs(u.evaluate(0, 0))
-    assert c0 > 0
-    rest = sum(abs(c) for e, c in u.items() if e != (0, 0))
-    if rest == 0:
-        return Fraction(1)
-    return c0 / (c0 + rest)
+def count_half_branches(u: BivarPoly, sectors: Sectors) -> list[int]:
+    """Half-branches of the counted irreducible u at each sector's
+    direction, certified."""
+    return _signed_counts(u, _certified_bound(u, sectors), sectors)
 
 
-def _certified_bound(kept: list[BivarPoly], dropped: list[BivarPoly]) -> Fraction:
-    """Certified radius bound for the product of the kept factors.
+def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
+                       epsilon: Fraction | None = None) -> list[tuple[int, int]]:
+    """(plus, minus) half-branch counts of the squarefree curve f at each of
+    its points at infinity, certified.
 
-    The kept factors are distinct irreducibles through the origin.  For each
-    one that is not rotation-invariant, the resultants of u and its tangential
-    derivative h are nonzero, as u does not divide h (see the module
-    docstring), and their roots bound the critical values of the distance on
-    {u = 0}; so do the resultants of two distinct kept factors for their
-    common zeros.  A rotation-invariant factor only contributes its circle
-    radii, and a dropped factor the distance from the origin to its zeros.
+    With epsilon, the whole curve is counted on the circle of radius
+    1/epsilon instead, and the counts are not certified.
     """
-    candidates = [Fraction(1)]
-    plain = []
-    for u in kept:
-        h = _tangential_derivative(u)
-        if h.is_zero():
-            # rotation-invariant factor: its real trace near the origin is the
-            # origin itself; stay below its positive circle radii
-            m = _magnitude_clause(_radial_profile(u))
-            if m is not None:
-                candidates.append(min(m, Fraction(1)))
-            continue
-        plain.append(u)
-        for m in (_magnitude_clause(_elim(u, h, "y")),
-                  _magnitude_clause(_elim(u, h, "x"))):
-            if m is not None:
-                candidates.append(m)
-        m = _magnitude_clause(u.subs_value("y", 0))
-        if m is not None:
-            candidates.append(m)
-    for i in range(len(plain)):
-        for j in range(i + 1, len(plain)):
-            for m in (_magnitude_clause(_elim(plain[i], plain[j], "y")),
-                      _magnitude_clause(_elim(plain[i], plain[j], "x"))):
-                if m is not None:
-                    candidates.append(m)
-    for u in dropped:
-        candidates.append(_origin_clearance(u))
-    bound = min(candidates) / 2
-    # snap to a power of two: small numerators keep later arithmetic cheap
-    eps = Fraction(1, 2)
-    while eps > bound:
-        eps /= 2
-    return eps
-
-
-def _split_factors(germ: BivarPoly, factors: tuple[BivarPoly, ...] | None):
-    if factors is None:
-        factors = irreducible_factors(germ)
-    kept = [u for u in factors if u.evaluate(0, 0) == 0]
-    dropped = [u for u in factors if u.evaluate(0, 0) != 0]
-    return kept, dropped
-
-
-def critical_radius_bound(chart: GermChart) -> CriticalRadius:
-    """A radius below every positive critical value of the distance on the germ
-    and below all points of the germ on {z = 0}, capped at 1."""
-    return CriticalRadius(_certified_bound(*_split_factors(chart.germ, None)))
-
-
-def count_half_branches(chart: GermChart, *,
-                        factors: tuple[BivarPoly, ...] | None = None) -> SignedBranchCount:
-    """Signed half-branch counts of the germ at the origin, certified.
-
-    Counts circle intersections at the certified radius, one kept factor at a
-    time, classified by the sign of z.
-    """
-    kept, dropped = _split_factors(chart.germ, factors)
-    bound = _certified_bound(kept, dropped)
-    plus = minus = 0
-    for u in kept:
-        p, m = _signed_counts(u, bound)
-        plus += p
-        minus += m
-    return SignedBranchCount(plus, minus, bound)
-
-
-def signed_counts_at(germ: BivarPoly, eps: Fraction) -> SignedBranchCount:
-    """Signed circle counts at a caller-chosen radius; never certified."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    plus, minus = _signed_counts(germ, eps)
-    return SignedBranchCount(plus, minus, eps, certified=False)
+    if not points:
+        return []
+    sectors = circle_sectors(f, points)
+    if epsilon is None:
+        per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
+                                                for u in counted_factors(f, points)))]
+    else:
+        epsilon = Fraction(epsilon)
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        per_sector = _signed_counts(f, 1 / epsilon, sectors)
+    counts = {p: [0, 0] for p in points}
+    for (point, side), n in zip(sectors.labels, per_sector):
+        counts[point][0 if side > 0 else 1] += n
+    return [tuple(counts[p]) for p in points]

@@ -13,16 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeZeroError, NotRealizableError, ZeroPolynomialError
-from .germs import count_half_branches, signed_counts_at
-from .poly import BivarPoly, irreducible_factors, squarefree_part
-from .projective import (
-    DirectionS1,
-    ProjPointAtInfinity,
-    _chart_image,
-    _chart_rows,
-    chart_germ,
-    points_at_infinity,
-)
+from .germs import half_branch_counts
+from .poly import BivarPoly, squarefree_part
+from .projective import DirectionS1, ProjPointAtInfinity, direction_pair, points_at_infinity
 
 
 @dataclass(frozen=True)
@@ -146,36 +139,28 @@ def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> 
     """Complete invariant of the curve {f = 0} at infinity.
 
     Works on the squarefree part of f.  epsilon_override skips the certified
-    radius and counts at the given radius, marking every record uncertified.
+    radius and counts the whole curve on the circle of radius
+    1/epsilon_override, marking every record uncertified.
     """
     if f.is_zero():
         raise ZeroPolynomialError("not a curve")
     if f.is_constant():
         raise DegreeZeroError("not a curve")
     sf = squarefree_part(f)
-    factors = irreducible_factors(sf)
+    points = points_at_infinity(sf)
     records = []
     counts: list[int] = []
-    for point in points_at_infinity(sf):
-        rows = _chart_rows(point)
-        chart = chart_germ(sf, point)
-        if epsilon_override is not None:
-            cnt = signed_counts_at(chart.germ, epsilon_override)
-        else:
-            germ_factors = tuple(
-                _chart_image(u, rows).normalized_primitive() for u in factors
-            )
-            cnt = count_half_branches(chart, factors=germ_factors)
-        if cnt.plus == 0 and cnt.minus == 0:
+    for point, (plus, minus) in zip(points, half_branch_counts(sf, points, epsilon_override)):
+        if plus == 0 and minus == 0:
             continue
-        plus_dir, minus_dir = chart.plus_direction, chart.plus_direction.antipode()
+        plus_dir, minus_dir = direction_pair(point)
         records.append(PointRecord(
             point=point,
-            plus=DirectionCount(plus_dir, cnt.plus) if cnt.plus else None,
-            minus=DirectionCount(minus_dir, cnt.minus) if cnt.minus else None,
-            certified=cnt.certified,
+            plus=DirectionCount(plus_dir, plus) if plus else None,
+            minus=DirectionCount(minus_dir, minus) if minus else None,
+            certified=epsilon_override is None,
         ))
-        counts.extend(c for c in (cnt.plus, cnt.minus) if c)
+        counts.extend(c for c in (plus, minus) if c)
     k = KInvariant.from_counts(counts)
     return InfinityReport(
         input_text=str(f),

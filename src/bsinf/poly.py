@@ -17,8 +17,6 @@ import sympy
 
 from .errors import DegenerateEliminationError, DegreeZeroError, ZeroPolynomialError
 
-Q = Fraction
-
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -46,10 +44,6 @@ class UnivarPoly:
     @classmethod
     def constant(cls, c) -> UnivarPoly:
         return cls([_as_fraction(c)])
-
-    @classmethod
-    def variable(cls) -> UnivarPoly:
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -145,12 +139,6 @@ class UnivarPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * t + c
-        return acc
-
-    def eval_float(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
         return acc
 
     def primitive(self) -> UnivarPoly:
@@ -292,9 +280,6 @@ class BivarPoly:
             return -1
         k = 0 if var == "x" else 1
         return max(e[k] for e in self._terms)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term."""
@@ -444,15 +429,6 @@ class BivarPoly:
             return UnivarPoly()
         m = max(out)
         return UnivarPoly([out.get(t, 0) for t in range(m + 1)])
-
-    @classmethod
-    def from_univar(cls, p: UnivarPoly, var: str) -> BivarPoly:
-        k = 0 if var == "x" else 1
-        terms = {}
-        for e, c in enumerate(p.coeffs):
-            if c:
-                terms[(e, 0) if k == 0 else (0, e)] = c
-        return cls(terms)
 
     def normalized_primitive(self) -> BivarPoly:
         """Scale so coefficients are coprime integers with positive graded-lex lead."""

@@ -131,43 +131,3 @@ def refine_root(p: UnivarPoly, interval: RootInterval, max_width: Fraction) -> R
         else:
             lo, slo = mid, smid
     return RootInterval(lo, hi)
-
-
-def min_nonzero_root_magnitude(p: UnivarPoly) -> Fraction | None:
-    """A positive rational m with m <= |r| for every nonzero real root r of p
-    (strictly below unless r is rational and |r| == m).  None when p has no
-    nonzero real roots.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    coeffs = list(p.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    stripped = UnivarPoly(coeffs)
-    if stripped.degree <= 0:
-        return None
-    best: Fraction | None = None
-    for iv in isolate_real_roots(stripped):
-        if iv.exact_point is not None:
-            mag = abs(iv.exact_point)
-        else:
-            lo, hi = iv.low, iv.high
-            sf = stripped.squarefree()
-            slo = sf(lo)
-            while lo <= 0 <= hi:
-                mid = (lo + hi) / 2
-                smid = sf(mid)
-                # 0 is not a root of stripped, so bisection pushes one endpoint past it
-                if smid == 0:
-                    lo = hi = mid
-                    break
-                if slo * smid < 0:
-                    hi = mid
-                else:
-                    lo, slo = mid, smid
-            mag = min(abs(lo), abs(hi))
-        if mag > 0 and (best is None or mag < best):
-            best = mag
-    return best

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -107,32 +108,41 @@ def sylvester_resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
     return det if sign == 1 else -det
 
 
-def trace_signed_counts(germ: BivarPoly, eps: float, grid: int = 2 ** 14) -> tuple[int, int]:
-    """Independent float tracer: sign-change scan of the germ on the eps-circle,
-    each crossing bisected and classified by the sign of the second coordinate."""
-    import math
+def germ_curve(germ: BivarPoly) -> BivarPoly:
+    """The affine curve y^e * g(x/y, 1/y), e = deg g, whose germ at the point
+    at infinity [0 : 1] is g(w, z), with z > 0 on the side of (0, 1)."""
+    e = germ.degree
+    return BivarPoly({(i, e - i - j): c for (i, j), c in germ.items()})
 
-    vals = [germ.eval_float(eps * math.cos(2 * math.pi * t / grid),
-                            eps * math.sin(2 * math.pi * t / grid))
-            for t in range(grid)]
-    plus = minus = 0
-    for t in range(grid):
-        a, b = vals[t], vals[(t + 1) % grid]
+
+def trace_direction_counts(g: BivarPoly, radius: float, directions,
+                           grid: int = 2 ** 14) -> dict[tuple[int, int], int]:
+    """Independent float tracer: sign-change scan of g on the circle of the
+    given radius about the origin, each crossing bisected and assigned to the
+    nearest of the given directions (DirectionS1 values)."""
+
+    def at(theta: float) -> float:
+        return g.eval_float(radius * math.cos(theta), radius * math.sin(theta))
+
+    step = 2 * math.pi / grid
+    vals = [at(k * step) for k in range(grid)]
+    counts: dict[tuple[int, int], int] = {}
+    for k in range(grid):
+        a, b = vals[k], vals[(k + 1) % grid]
         if a * b < 0:
-            lo, hi = 2 * math.pi * t / grid, 2 * math.pi * (t + 1) / grid
-            va = a
+            lo, hi = k * step, (k + 1) * step
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                vm = germ.eval_float(eps * math.cos(mid), eps * math.sin(mid))
-                if va * vm <= 0:
+                vm = at(mid)
+                if a * vm <= 0:
                     hi = mid
                 else:
-                    lo, va = mid, vm
-            if math.sin(0.5 * (lo + hi)) > 0:
-                plus += 1
-            else:
-                minus += 1
-    return plus, minus
+                    lo, a = mid, vm
+            theta = 0.5 * (lo + hi)
+            nearest = max(directions, key=lambda d: d.unit[0] * math.cos(theta)
+                          + d.unit[1] * math.sin(theta))
+            counts[nearest.rep] = counts.get(nearest.rep, 0) + 1
+    return counts
 
 
 @pytest.fixture(scope="session")

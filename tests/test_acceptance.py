@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from bsinf.germs import count_circle_solutions, count_half_branches, critical_radius_bound
+from bsinf.germs import _certified_bound, _signed_counts, circle_sectors, counted_factors
 from bsinf.invariant import (
     KInvariant,
     canonical_descriptor,
@@ -21,10 +21,10 @@ from bsinf.invariant import (
 )
 from bsinf.oracle import oracle_k
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly
-from bsinf.projective import DirectionS1, GermChart, ProjPointAtInfinity, chart_germ, points_at_infinity
+from bsinf.poly import BivarPoly, squarefree_part
+from bsinf.projective import points_at_infinity
 
-from conftest import affine_image, even_sum_tuples, random_unimodular
+from conftest import affine_image, even_sum_tuples, germ_curve, random_unimodular
 
 W = BivarPoly.x()
 Z = BivarPoly.y()
@@ -130,13 +130,8 @@ def test_criterion_4_exact_vs_oracle(corpus):
             f"(counts identical, directions within 1e-6) in {elapsed:.1f}s")
 
 
-def _family_chart(germ: BivarPoly) -> GermChart:
-    return GermChart(germ=germ, source_point=ProjPointAtInfinity((0, 1)),
-                     chart_map=((0, 1, 0), (1, 0, 0)),
-                     plus_direction=DirectionS1((0, 1)))
-
-
 def test_criterion_5_germ_families():
+    # a germ g(w, z) of degree e at [0 : 1] is the affine curve y^e*g(x/y, 1/y)
     table = []
     for k in range(1, 5):
         table.extend([
@@ -146,9 +141,11 @@ def test_criterion_5_germ_families():
             (Z * Z - W ** (2 * k), (2, 2)),
         ])
     for germ, want in table:
-        cnt = count_half_branches(_family_chart(germ))
-        assert cnt.certified, f"uncertified count for {germ}"
-        assert (cnt.plus, cnt.minus) == want, f"{germ}: {(cnt.plus, cnt.minus)} != {want}"
+        (rec,) = k_at_infinity(germ_curve(germ)).records
+        assert rec.point.rep == (0, 1)
+        assert rec.certified, f"uncertified count for {germ}"
+        got = tuple(side.count if side else 0 for side in (rec.plus, rec.minus))
+        assert got == want, f"{germ}: {got} != {want}"
     _report(5, True, f"all {len(table)} monomial-family germs match with certified radii")
 
 
@@ -170,19 +167,23 @@ def test_criterion_6_affine_invariance():
 
 
 def test_criterion_7_radius_stability(corpus):
-    germs = []
+    curves = []
     for k in range(1, 5):
-        germs.extend([Z - W ** (2 * k), Z - W ** (2 * k + 1),
-                      Z * Z - W ** (2 * k + 1), Z * Z - W ** (2 * k)])
-    for f in corpus:
-        from bsinf.poly import squarefree_part
+        curves.extend(germ_curve(g) for g in [Z - W ** (2 * k), Z - W ** (2 * k + 1),
+                                              Z * Z - W ** (2 * k + 1), Z * Z - W ** (2 * k)])
+    curves.extend(corpus)
+    checked = 0
+    for f in curves:
         sf = squarefree_part(f)
-        for c in points_at_infinity(sf):
-            germs.append(chart_germ(sf, c).germ)
-    for germ in germs:
-        cr = critical_radius_bound(_family_chart(germ))
-        assert cr.certified
-        n0 = count_circle_solutions(germ, cr.bound)
-        n1 = count_circle_solutions(germ, cr.bound / 7)
-        assert n0 == n1, f"counts differ at eps0 and eps0/7 for {germ}"
-    _report(7, True, f"circle counts agree at eps0 and eps0/7 for all {len(germs)} corpus germs")
+        points = points_at_infinity(sf)
+        if not points:
+            continue
+        sectors = circle_sectors(sf, points)
+        for u in counted_factors(sf, points):
+            radius = _certified_bound(u, sectors)
+            n0 = _signed_counts(u, radius, sectors)
+            n1 = _signed_counts(u, 7 * radius, sectors)
+            assert n0 == n1, f"sector counts differ at R and 7R for {u} in {f}"
+            checked += 1
+    _report(7, True, f"sector counts agree at R and 7R for all {checked} counted factors "
+                     f"of {len(curves)} corpus curves")

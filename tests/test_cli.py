@@ -131,6 +131,13 @@ def test_epsilon_override_marks_uncertified(capsys):
     assert all(not entry["certified"] for entry in payload["points"])
 
 
+def test_epsilon_on_separator_exits_1(capsys):
+    # the 2-circle meets x = -2 at (-2, 0), on the separator ray at t = oo
+    code, out, err = run(capsys, "invariant", "--epsilon", "1/2", "(y - x)*(x + 2)")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "separator" in err
+
+
 def test_emit_samples_csv(tmp_path, capsys):
     target = tmp_path / "samples.csv"
     code, out, _ = run(capsys, "check", "--emit-samples", str(target), "y^2 - x^3")

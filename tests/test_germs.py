@@ -3,183 +3,301 @@ from fractions import Fraction
 
 import pytest
 
+from bsinf import germs
 from bsinf.errors import NonTransverseCircleError
 from bsinf.germs import (
-    _sign_at_root,
-    count_circle_solutions,
+    _certified_bound,
+    _restriction,
+    _signed_counts,
+    circle_sectors,
     count_half_branches,
-    critical_radius_bound,
-    signed_counts_at,
+    counted_factors,
+    half_branch_counts,
 )
+from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, UnivarPoly, irreducible_factors
-from bsinf.projective import DirectionS1, GermChart, ProjPointAtInfinity, chart_germ, points_at_infinity
+from bsinf.poly import BivarPoly, squarefree_part
+from bsinf.projective import (
+    ProjPointAtInfinity,
+    direction_pair,
+    leading_form,
+    points_at_infinity,
+)
+from bsinf.roots import isolate_real_roots
 
-from conftest import trace_signed_counts
+from conftest import affine_image, germ_curve, random_unimodular, trace_direction_counts
 
 W = BivarPoly.x()
 Z = BivarPoly.y()
 
 
-def make_chart(germ: BivarPoly) -> GermChart:
-    return GermChart(germ=germ, source_point=ProjPointAtInfinity((0, 1)),
-                     chart_map=((0, 1, 0), (1, 0, 0)),
-                     plus_direction=DirectionS1((0, 1)))
+def circle_setup(f: BivarPoly):
+    """(squarefree part, points at infinity, sectors, counted factors)."""
+    sf = squarefree_part(f)
+    points = points_at_infinity(sf)
+    sectors = circle_sectors(sf, points)
+    return sf, points, sectors, counted_factors(sf, points)
 
 
-def corpus_germs() -> list[BivarPoly]:
-    germs = [
-        Z - W, Z - W ** 3, Z * Z - W ** 3, Z * Z - W ** 2 + W ** 4,
-        parse_poly("x^2 - 2*y - x*y"),   # w^2 - 2z - wz
-        Z * Z + W ** 4,
-        (Z - W) * (Z + W) * (Z - W ** 2),
-        W * (Z - W ** 2),
-        W * W + Z * Z,                   # isolated real point
-    ]
-    for text in ["y^2 - x^3", "(y-x)^2 - (y+x)", "x^2 - y^2 - y^3",
-                 "((y-x) - 1)*((y-x)^2 - (y+x))"]:
-        f = parse_poly(text)
-        for c in points_at_infinity(f):
-            germs.append(chart_germ(f, c).germ)
-    return germs
-
-
-def test_line_radius_capped_at_one():
-    cr = critical_radius_bound(make_chart(Z - W))
-    assert cr.certified and 0 < cr.bound < 1
-
-
-def test_cusp_radius_below_first_critical_value():
-    # distance^2 along z^2 = w^3 has its positive critical point at w = 2/3,
-    # i.e. critical radius sqrt(20/27); the on-axis clause does not bind
-    cr = critical_radius_bound(make_chart(Z * Z - W ** 3))
-    assert cr.certified
-    assert 0 < float(cr.bound) < math.sqrt(20.0 / 27.0)
-
-
-def test_parabola_germ_radius_and_count():
-    chart = make_chart(parse_poly("x^2 - 2*y - x*y"))
-    cr = critical_radius_bound(chart)
-    assert cr.certified
-    assert count_circle_solutions(chart.germ, cr.bound) == 2
-    cnt = count_half_branches(chart)
-    assert (cnt.plus, cnt.minus) == (2, 0)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_monomial_family_counts(k):
-    table = [
+def family_germs(k: int) -> list[tuple[BivarPoly, tuple[int, int]]]:
+    return [
         (Z - W ** (2 * k), (2, 0)),
         (Z - W ** (2 * k + 1), (1, 1)),
         (Z * Z - W ** (2 * k + 1), (1, 1)),
         (Z * Z - W ** (2 * k), (2, 2)),
     ]
-    for germ, want in table:
-        cnt = count_half_branches(make_chart(germ))
-        assert (cnt.plus, cnt.minus) == want
-        assert cnt.certified
+
+
+def corpus_curves() -> list[BivarPoly]:
+    curves = [germ_curve(g) for g in [
+        Z - W, Z - W ** 3, Z * Z - W ** 3, Z * Z - W ** 2 + W ** 4,
+        parse_poly("x^2 - 2*y - x*y"),   # w^2 - 2z - wz
+        Z * Z + W ** 4,
+        (Z - W) * (Z + W) * (Z - W ** 2),
+        W * (Z - W ** 2),
+    ]]
+    curves += [parse_poly(text) for text in [
+        "y^2 - x^3", "(y-x)^2 - (y+x)", "x^2 - y^2 - y^3",
+        "((y-x) - 1)*((y-x)^2 - (y+x))", "x*y - 1",
+        "(y - x - 1)*(y - 2*x)*(y^2 - x^3)",
+    ]]
+    return curves
+
+
+def records_by_direction(f: BivarPoly) -> dict[tuple[int, int], int]:
+    out = {}
+    for rec in k_at_infinity(f).records:
+        for side in (rec.plus, rec.minus):
+            if side is not None:
+                out[side.direction.rep] = side.count
+    return out
+
+
+def traced(f: BivarPoly) -> tuple[float, dict[tuple[int, int], int]]:
+    """The largest certified radius of the counted factors of f, and the
+    float tracer's counts there, one counted factor at a time."""
+    _, points, sectors, counted = circle_setup(f)
+    radius = float(max(_certified_bound(u, sectors) for u in counted))
+    directions = [d for p in points for d in direction_pair(p)]
+    total: dict[tuple[int, int], int] = {}
+    for u in counted:
+        for rep, n in trace_direction_counts(u, radius, directions).items():
+            total[rep] = total.get(rep, 0) + n
+    return radius, total
+
+
+def test_line_radius_capped_at_one():
+    # the radius of the small circle at infinity, 1/R, is at most 1
+    _, _, sectors, (u,) = circle_setup(parse_poly("y - x - 1"))
+    radius = _certified_bound(u, sectors)
+    assert radius >= 1 and radius.denominator == 1
+    assert radius.numerator & (radius.numerator - 1) == 0  # a power of 2
+    assert count_half_branches(u, sectors) == [1, 1]
+
+
+def test_cusp_radius_below_first_critical_value():
+    # on y^2 = (x - 3)^3 the distance to the origin grows along both arcs
+    # from the cusp (3, 0), its one critical point; so seen from infinity the
+    # first critical value is 1/3, and 1/R must lie below it
+    f = parse_poly("y^2 - (x - 3)^3")
+    sf, points, sectors, (u,) = circle_setup(f)
+    radius = _certified_bound(u, sectors)
+    assert radius > 3
+    assert _signed_counts(u, Fraction(2), sectors) == [0, 0]  # inside the cusp
+    assert half_branch_counts(sf, points) == [(1, 1)]
+
+
+def test_parabola_germ_radius_and_count():
+    f = parse_poly("(y-x)^2 - (y+x)")
+    sf, points, sectors, (u,) = circle_setup(f)
+    radius = _certified_bound(u, sectors)
+    assert sum(_signed_counts(u, radius, sectors)) == 2
+    assert half_branch_counts(sf, points) == [(2, 0)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_monomial_family_counts(k):
+    for germ, want in family_germs(k):
+        sf, points, _, _ = circle_setup(germ_curve(germ))
+        assert [p.rep for p in points] == [(0, 1)]
+        assert half_branch_counts(sf, points) == [want], str(germ)
 
 
 def test_no_real_germ_counts_zero():
-    cnt = count_half_branches(make_chart(Z * Z + W ** 4))
-    assert (cnt.plus, cnt.minus) == (0, 0) and cnt.certified
+    f = germ_curve(Z * Z + W ** 4)  # y^2 + x^4: the origin alone
+    sf, points, _, _ = circle_setup(f)
+    assert half_branch_counts(sf, points) == [(0, 0)]
+    assert k_at_infinity(f).bounded
 
 
 def test_isolated_point_rotation_invariant_factor():
-    cnt = count_half_branches(make_chart(W * W + Z * Z))
-    assert (cnt.plus, cnt.minus) == (0, 0) and cnt.certified
+    # x^2 + y^2 and x^2 + y^2 - 1 have definite leading forms: never counted
+    line = records_by_direction(parse_poly("y - x"))
+    for text in ["(y - x)*(x^2 + y^2)", "(y - x)*(x^2 + y^2 - 1)"]:
+        _, _, _, counted = circle_setup(parse_poly(text))
+        assert counted == [parse_poly("y - x")]
+        assert records_by_direction(parse_poly(text)) == line
+    assert k_at_infinity(parse_poly("x^2 + y^2")).bounded
 
 
 def test_circle_solution_examples():
-    assert count_circle_solutions(Z - W, Fraction(1, 2)) == 2
-    assert count_circle_solutions(Z * Z + W ** 4, Fraction(1, 2)) == 0
-    assert count_circle_solutions(Z - W ** 3, Fraction(1, 2)) == 2
+    for text, radius, want in [("y - x", Fraction(1, 2), 2),
+                               ("y^2 + x^4", Fraction(2), 0),
+                               ("y - x^3", Fraction(1, 2), 2),
+                               ("x*y - 1", Fraction(1), 0),  # inside sqrt(2)
+                               ("x*y - 1", Fraction(2), 4)]:
+        sf, _, sectors, _ = circle_setup(parse_poly(text))
+        assert sum(_signed_counts(sf, radius, sectors)) == want, text
 
 
 def test_non_transverse_circle_detected():
-    circle = W * W + Z * Z - BivarPoly.constant(Fraction(1, 4))
+    f = parse_poly("(x^2 + y^2 - 4)*(y - x)")
+    sf, _, sectors, _ = circle_setup(f)
     with pytest.raises(NonTransverseCircleError):
-        count_circle_solutions(circle * (Z - W), Fraction(1, 2))
+        _signed_counts(sf, Fraction(2), sectors)
+    with pytest.raises(NonTransverseCircleError):
+        k_at_infinity(f, epsilon_override=Fraction(1, 2))
     # a different radius is fine
-    assert count_circle_solutions(circle * (Z - W), Fraction(1, 3)) == 2
+    assert sum(_signed_counts(sf, Fraction(3), sectors)) == 2
+
+
+def test_sectors_hold_one_direction_each():
+    # x*y - 1 has all four axis directions, so neither the identity nor a
+    # quarter turn puts t = oo off the curve's directions
+    for text in ["x*y - 1", "y^2 - x^3", "(y - x - 1)*(y - 2*x)*(y^2 - x^3)",
+                 "(x - 3*y)*(2*x + y)*(x^2 - y)"]:
+        _, points, sectors, _ = circle_setup(parse_poly(text))
+        c, s = sectors.rotation
+        assert c * c + s * s == 1
+        assert sorted(sectors.labels, key=lambda pl: (pl[0].rep, pl[1])) == \
+            sorted(((p, side) for p in points for side in (1, -1)),
+                   key=lambda pl: (pl[0].rep, pl[1]))
+        assert list(sectors.separators) == sorted(sectors.separators)
+    assert circle_setup(parse_poly("x*y - 1"))[2].rotation == (Fraction(3, 5), Fraction(4, 5))
 
 
 def test_plus_minus_equals_circle_count():
-    for germ in corpus_germs():
-        chart = make_chart(germ)
-        cnt = count_half_branches(chart)
-        assert cnt.plus + cnt.minus == count_circle_solutions(germ, cnt.epsilon_used)
-        assert (cnt.plus + cnt.minus) % 2 == 0
+    for f in corpus_curves():
+        sf, points, sectors, counted = circle_setup(f)
+        for u in counted:
+            counts = count_half_branches(u, sectors)
+            on_circle = _restriction(u, _certified_bound(u, sectors), sectors)
+            assert sum(counts) == len(isolate_real_roots(on_circle)), str(u)
+        total = sum(p + m for p, m in half_branch_counts(sf, points))
+        assert total % 2 == 0
 
 
 def test_radius_stability():
-    for germ in corpus_germs():
-        cr = critical_radius_bound(make_chart(germ))
-        n0 = count_circle_solutions(germ, cr.bound)
-        for eps in [cr.bound / 2, cr.bound / 7, cr.bound * Fraction(3, 11)]:
-            assert count_circle_solutions(germ, eps) == n0
+    for f in corpus_curves():
+        _, _, sectors, counted = circle_setup(f)
+        for u in counted:
+            radius = _certified_bound(u, sectors)
+            n0 = _signed_counts(u, radius, sectors)
+            for r in [radius * 2, radius * 7, radius * Fraction(11, 3)]:
+                assert _signed_counts(u, r, sectors) == n0, str(u)
 
 
 def test_numeric_circle_trace_agrees():
-    """Float sign scan of the germ on the epsilon circle finds the same signed
-    counts (independent of the exact machinery)."""
-    for germ in corpus_germs():
-        cnt = count_half_branches(make_chart(germ))
-        assert trace_signed_counts(germ, float(cnt.epsilon_used)) == (cnt.plus, cnt.minus)
+    """Float sign scan of each counted factor on the circle of the certified
+    radius finds the same counts per direction (independent of the exact
+    machinery)."""
+    for f in corpus_curves():
+        if k_at_infinity(f).bounded:
+            continue
+        _, counts = traced(f)
+        assert counts == records_by_direction(f), str(f)
 
 
 def test_random_germ_products_match_numeric_trace(rng):
-    """Seeded random products of origin-passing factors: the certified counter
-    and the independent float tracer must classify identically."""
-    pool = []
+    """Seeded unimodular images of random products of lines, parabolas and
+    the affine curves of the germ families: the certified counter and the
+    independent float tracer must agree direction by direction."""
+    pool = [parse_poly(t) for t in ["y - x - 1", "y + 2*x - 3", "x + 2",
+                                    "(y - x)^2 - (y + x)", "(y - 2*x)^2 + 3*(y + 2*x)",
+                                    "y^2 - x^3"]]
     for a in (1, 2, 3):
         for k in (1, 2, 3):
-            pool.append(Z - W.scale(a) ** k)
-            pool.append(Z + W.scale(a) ** k)
-        pool.append(Z * Z - W.scale(a) ** 3)
-        pool.append(Z * Z + W.scale(a) ** 3)
-    pool.append(W)
+            pool.append(germ_curve(Z - W.scale(a) ** k))
+            pool.append(germ_curve(Z + W.scale(a) ** k))
+        pool.append(germ_curve(Z * Z - W.scale(a) ** 3))
+        pool.append(germ_curve(Z * Z + W.scale(a) ** 3))
     checked = 0
     while checked < 25:
         chosen = rng.sample(pool, rng.randint(1, 3))
         product = chosen[0]
         for u in chosen[1:]:
             product = product * u
-        factors = irreducible_factors(product)
-        germ = factors[0]
-        for u in factors[1:]:
-            germ = germ * u  # distinct irreducibles: squarefree by construction
-        if germ.subs_value("y", 0).is_zero():
-            continue
-        cnt = count_half_branches(make_chart(germ))
-        assert cnt.certified
-        eps = float(cnt.epsilon_used)
-        if eps < 1e-5:  # float tracing is meaningless at tiny radii
+        shift = (rng.randint(-3, 3), rng.randint(-3, 3))
+        f = affine_image(product, random_unimodular(rng), shift)
+        radius, counts = traced(f)
+        if radius > 1e5:  # float tracing is meaningless at huge radii
             continue
         checked += 1
-        assert trace_signed_counts(germ, eps) == (cnt.plus, cnt.minus), str(germ)
+        assert counts == records_by_direction(f), str(f)
 
 
 def test_signed_counts_at_override_radius():
-    cnt = signed_counts_at(Z - W ** 3, Fraction(1, 16))
-    assert (cnt.plus, cnt.minus) == (1, 1)
-    assert not cnt.certified
+    f = germ_curve(Z - W ** 3)  # y^2 - x^3
+    sf, points, _, _ = circle_setup(f)
+    assert half_branch_counts(sf, points, Fraction(1, 16)) == [(1, 1)]
+    report = k_at_infinity(f, epsilon_override=Fraction(1, 16))
+    assert report.k.entries == (1, 1)
+    assert not any(rec.certified for rec in report.records)
 
 
 def test_epsilon_on_axis_point_rejected():
-    # {z = w} union {w = 1/2}: the 1/2-circle passes through (1/2, 0)
-    germ = (Z - W) * (W - BivarPoly.constant(Fraction(1, 2)))
+    # {y = x} union {x = -2}: the identity rotation puts the separator t = oo
+    # on the negative x-axis, which the 2-circle meets at (-2, 0)
+    f = parse_poly("(y - x)*(x + 2)")
+    sf, points, sectors, _ = circle_setup(f)
+    assert sectors.rotation == (1, 0)
     with pytest.raises(ValueError):
-        signed_counts_at(germ, Fraction(1, 2))
+        half_branch_counts(sf, points, Fraction(1, 2))
+    assert half_branch_counts(sf, points, Fraction(1, 64)) == [(1, 1), (1, 1)]
 
 
-def test_sign_at_root_is_exact():
-    # below = floor(sqrt(2) * 2^80) / 2^80 and above = below + 2^-80 bracket
-    # sqrt(2); t - below and t - above keep one sign only on intervals around
-    # sqrt(2) narrower than about 2^-80
-    below = Fraction(math.isqrt(2 << 160), 1 << 80)
-    above = below + Fraction(1, 1 << 80)
-    c_sf = UnivarPoly([-2, 0, 1])
-    assert _sign_at_root(c_sf, Fraction(1), Fraction(2), UnivarPoly([-below, 1])) == 1
-    assert _sign_at_root(c_sf, Fraction(1), Fraction(2), UnivarPoly([below, -1])) == -1
-    assert _sign_at_root(c_sf, Fraction(1), Fraction(2), UnivarPoly([-above, 1])) == -1
+def test_sector_labels_follow_direction_angles(rng):
+    # p(t) runs counterclockwise from the ray at t = -oo, so the sectors'
+    # directions, read in order, have increasing angles from that ray
+    for _ in range(30):
+        reps = set()
+        while len(reps) < rng.randint(1, 5):
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            if (a, b) != (0, 0):
+                reps.add(ProjPointAtInfinity((a, b)).rep)
+        f = BivarPoly.constant(1)
+        for a, b in reps:
+            f = f * BivarPoly({(1, 0): b, (0, 1): -a})
+        points = points_at_infinity(f)
+        sectors = circle_sectors(f, points)
+        c, s = (float(v) for v in sectors.rotation)
+        start = math.atan2(-s, -c)
+        angles = []
+        for point, side in sectors.labels:
+            u, v = point.rep
+            angles.append((math.atan2(side * v, side * u) - start) % (2 * math.pi))
+        assert angles == sorted(angles) and len(angles) == 2 * len(points)
+
+
+@pytest.mark.parametrize("m", [Fraction(1, 7), Fraction(-2, 9), Fraction(5, 3)])
+def test_counts_do_not_depend_on_rotation(m, monkeypatch):
+    # any rotation that keeps t = oo off the curve's directions gives the same
+    # records; these ones put the separators at other places
+    rotation = ((1 - m * m) / (1 + m * m), 2 * m / (1 + m * m))
+    for f in corpus_curves():
+        want = records_by_direction(f)
+        with monkeypatch.context() as patch:
+            patch.setattr(germs, "_rotation", lambda lf: rotation)
+            if leading_form(squarefree_part(f)).evaluate(*rotation) == 0:
+                continue
+            assert records_by_direction(f) == want, str(f)
+
+
+def test_bounded_factor_meeting_large_circles_is_ignored():
+    # the ellipse reaches radius 1000, beyond the line's certified radius
+    f = parse_poly("(y - x - 1)*(x^2 + 4*y^2 - 1000000)")
+    _, _, sectors, counted = circle_setup(f)
+    assert counted == [parse_poly("y - x - 1")]
+    assert _certified_bound(counted[0], sectors) < 1000
+    assert records_by_direction(f) == {(1, 1): 1, (-1, -1): 1}
+

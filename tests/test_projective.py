@@ -1,16 +1,10 @@
 import pytest
 
-from bsinf.errors import IrrationalDirectionError, PointNotOnCurveError
-from bsinf.germs import count_half_branches
+from bsinf.errors import IrrationalDirectionError
+from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import squarefree_part
-from bsinf.projective import (
-    ProjPointAtInfinity,
-    chart_germ,
-    direction_pair,
-    leading_form,
-    points_at_infinity,
-)
+from bsinf.projective import ProjPointAtInfinity, direction_pair, leading_form, points_at_infinity
 
 from conftest import affine_image, random_unimodular
 
@@ -41,7 +35,6 @@ def test_points_sorted_and_bounded_by_degree(rng):
         lf = leading_form(f)
         for c in pts:
             assert lf.evaluate(c.rep[0], c.rep[1]) == 0
-            chart_germ(f, c)  # must succeed
 
 
 def test_irrational_direction_rejected():
@@ -66,58 +59,29 @@ def test_normalization_unique():
         ProjPointAtInfinity((0, 0))
 
 
-def test_chart_germ_cusp():
-    f = parse_poly("y^2 - x^3")
-    chart = chart_germ(f, ProjPointAtInfinity((0, 1)))
-    assert chart.germ == parse_poly("y - x^3")  # z - w^3 in germ variables
-    assert chart.plus_direction.rep == (0, 1)
-
-
-def test_chart_germ_parabola_shear():
-    f = parse_poly("(y-x)^2 - (y+x)")
-    chart = chart_germ(f, ProjPointAtInfinity((1, 1)))
-    assert chart.germ == parse_poly("x^2 - 2*y - x*y")  # w^2 - 2z - wz
-
-
-def test_chart_germ_never_divisible_by_z():
-    for text in ["y^2 - x^3", "(y-x)^2 - (y+x)", "x^2 - y^2 - y^3",
-                 "(y - x - 1)*(y - 2*x)*(y^2 - x^3)"]:
-        f = squarefree_part(parse_poly(text))
-        for c in points_at_infinity(f):
-            germ = chart_germ(f, c).germ
-            assert germ.evaluate(0, 0) == 0
-            assert not germ.subs_value("y", 0).is_zero()
-
-
-def test_point_not_on_curve():
-    with pytest.raises(PointNotOnCurveError):
-        chart_germ(parse_poly("y^2 - x^3"), ProjPointAtInfinity((1, 0)))
-
-
-def _signed(chart):
-    cnt = count_half_branches(chart)
-    return cnt.plus, cnt.minus
+def _sides(f):
+    return {side.direction.rep: side.count for rec in k_at_infinity(f).records
+            for side in (rec.plus, rec.minus) if side is not None}
 
 
 def test_chart_convention_under_unimodular_change(rng):
-    """Transforming the curve by a unimodular map permutes points at infinity;
-    signed counts follow, swapping plus/minus exactly when the normalized
-    image representative flips orientation."""
+    """Transforming the curve by a unimodular map M carries its directions
+    through M^-1; each record's plus side is the direction of its point's
+    normalized representative, so plus and minus follow the transformed
+    directions and swap exactly when normalization flips the image."""
     for text in ["y^2 - x^3", "((y-x) - 1)*((y-x)^2 - (y+x))"]:
         f = squarefree_part(parse_poly(text))
+        sides = _sides(f)
         for _ in range(4):
             m = random_unimodular(rng)
             g = squarefree_part(affine_image(f, m, (0, 0)))
-            for c in points_at_infinity(f):
-                counts = _signed(chart_germ(f, c))
-                # the curve {f(Mv) = 0} is M^-1 X, so c maps through M^-1
-                (a, b), (cc, dd) = m
-                det = a * dd - b * cc
-                ca, cb = c.rep
-                img = (det * (dd * ca - b * cb), det * (-cc * ca + a * cb))
-                c2 = ProjPointAtInfinity(img)
-                # orientation flip iff normalization negated the representative
-                sign_flip = (c2.rep[0] * img[0] + c2.rep[1] * img[1]) < 0
-                got = _signed(chart_germ(g, c2))
-                want = (counts[1], counts[0]) if sign_flip else counts
-                assert got == want
+            # the curve {f(Mv) = 0} is M^-1 X, so directions map through M^-1
+            (a, b), (cc, dd) = m
+            det = a * dd - b * cc
+            want = {(det * (dd * u - b * v), det * (-cc * u + a * v)): n
+                    for (u, v), n in sides.items()}
+            assert _sides(g) == want
+            for rec in k_at_infinity(g).records:
+                assert rec.plus is None or rec.plus.direction.rep == rec.point.rep
+                assert rec.minus is None or rec.minus.direction.rep == \
+                    (-rec.point.rep[0], -rec.point.rep[1])

@@ -7,7 +7,6 @@ from bsinf.roots import (
     RootInterval,
     count_roots_in,
     isolate_real_roots,
-    min_nonzero_root_magnitude,
     refine_root,
 )
 
@@ -98,14 +97,6 @@ def test_refinement_to_requested_width():
     fine = refine_root(p, iv, Fraction(1, 2 ** 30))
     assert fine.width <= Fraction(1, 2 ** 30)
     assert float(fine.low) <= 2 ** 0.5 <= float(fine.high)
-
-
-def test_min_nonzero_root_magnitude():
-    assert min_nonzero_root_magnitude(UnivarPoly([0, -1, 0, 1])) == 1  # x^3 - x
-    m = min_nonzero_root_magnitude(UnivarPoly([-2, 0, 1]))
-    assert m is not None and 0 < m <= Fraction(2 ** 0.5).limit_denominator(10 ** 6)
-    assert min_nonzero_root_magnitude(UnivarPoly([0, 0, 1])) is None  # x^2
-    assert min_nonzero_root_magnitude(UnivarPoly([1, 0, 1])) is None  # x^2 + 1
 
 
 def test_root_interval_validation():
