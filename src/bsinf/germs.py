@@ -160,7 +160,7 @@ def _signed_counts(g: BivarPoly, radius: Fraction, sectors: Sectors) -> list[int
     if p.degree < 2 * g.degree or any(p(t) == 0 for t in sectors.separators):
         raise ValueError("the circle meets the curve on a separator ray; "
                          "counts by sector are undefined at this radius")
-    chain = sturm_chain(p.squarefree())
+    chain = sturm_chain(p)
     variations = ([_variations_at_infinity(chain, -1)]
                   + [sign_variations(chain, t) for t in sectors.separators]
                   + [_variations_at_infinity(chain, 1)])

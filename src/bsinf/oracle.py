@@ -3,15 +3,14 @@ counts: intersects the curve with circles of geometrically growing radius,
 tracks the intersection angles and extrapolates their limits.
 
 Advisory only — the exact pipeline is authoritative; this module exists to
-cross-validate it and deliberately shares none of its machinery.
+cross-validate it and deliberately shares none of its machinery.  numpy is
+imported by the scans that use it, so only the `check` command pays for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .poly import BivarPoly
 
@@ -146,6 +145,8 @@ def _sign_windows(sgn: np.ndarray) -> set[tuple[int, int]]:
     """Pairs (a, b) of consecutive nonzero samples of a +1/0/-1 array that
     enclose a zero run or a sign change.  Zeros before the first and after the
     last nonzero sample sit at a window edge and belong to the parent scan."""
+    import numpy as np
+
     nz = np.flatnonzero(sgn)
     a, b = nz[:-1], nz[1:]
     keep = (b > a + 1) | (sgn[a] != sgn[b])
@@ -165,6 +166,8 @@ def _scan(ev, radius: float, lo: float, hi: float, n: int, depth: int,
     sign-change windows are bisected and sign-constant ones go through the
     even-event probe.
     """
+    import numpy as np
+
     step = (hi - lo) / n
     theta = np.linspace(lo, hi, n, endpoint=False)
     vals = ev(radius, np.cos(theta), np.sin(theta))

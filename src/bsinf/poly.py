@@ -1,19 +1,18 @@
 """Exact polynomial arithmetic: sparse bivariate and dense univariate polynomials
-over the rationals, canonical printing, squarefree parts and resultants.
+over the rationals, canonical printing, the irreducible factor split,
+squarefree parts and resultants.
 
 All coefficients are `fractions.Fraction`; no floating point enters this module.
 Printing and sign normalization use graded-lexicographic order (total degree,
-then exponent of the first variable).
+then exponent of the first variable).  sympy is imported only to factor what
+is neither a product nor a line or a nondegenerate conic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
-
-import sympy
 
 from .errors import DegenerateEliminationError, DegreeZeroError, ZeroPolynomialError
 
@@ -157,16 +156,6 @@ class UnivarPoly:
             den = den * c.denominator // gcd(den, c.denominator)
         return self.scale(Fraction(den, num))
 
-    def squarefree(self) -> UnivarPoly:
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        g = univar_gcd(self, self.derivative())
-        if g.degree <= 0:
-            return self
-        q, r = self.divmod(g)
-        assert r.is_zero()
-        return q
-
     def __repr__(self) -> str:
         return f"UnivarPoly({list(self.coeffs)})"
 
@@ -181,18 +170,6 @@ class UnivarPoly:
             body = _format_monomial(c, (("t", k),), leading=not parts)
             parts.append(body)
         return " ".join(parts)
-
-
-def univar_gcd(a: UnivarPoly, b: UnivarPoly) -> UnivarPoly:
-    """Monic gcd over Q, via Euclid with primitive renormalization."""
-    while not b.is_zero():
-        r = a.rem(b)
-        if not r.is_zero():
-            r = r.primitive()  # keeps coefficient growth in check
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.leading())
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +347,6 @@ class BivarPoly:
             total += c * px**i * py**j
         return total
 
-    def eval_float(self, px: float, py: float) -> float:
-        total = 0.0
-        for (i, j), c in self._terms.items():
-            total += float(c) * px**i * py**j
-        return total
-
     def homogeneous_part(self, d: int) -> BivarPoly:
         return BivarPoly({e: c for e, c in self._terms.items() if e[0] + e[1] == d})
 
@@ -484,42 +455,8 @@ def format_poly(f: BivarPoly, names: tuple[str, str] = ("x", "y")) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge: squarefree part, irreducible factor split, resultants and the
-# univariate tools of roots.py
+# squarefree part and irreducible factor split
 # ---------------------------------------------------------------------------
-
-_SX, _SY = sympy.symbols("x y")
-_ST = sympy.Symbol("t")
-
-
-def from_sympy_rational(c) -> Fraction:
-    c = sympy.Rational(c)
-    return Fraction(int(c.p), int(c.q))
-
-
-def to_sympy_poly(f: BivarPoly) -> sympy.Poly:
-    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.items()}
-    return sympy.Poly.from_dict(rep, _SX, _SY, domain="QQ")
-
-
-def from_sympy_poly(p: sympy.Poly) -> BivarPoly:
-    terms = {}
-    for monom, c in p.as_dict().items():
-        if len(monom) == 1:
-            monom = (monom[0], 0)
-        terms[monom] = from_sympy_rational(c)
-    return BivarPoly(terms)
-
-
-def to_sympy_univar(p: UnivarPoly) -> sympy.Poly:
-    rep = {(k,): sympy.Rational(c.numerator, c.denominator)
-           for k, c in enumerate(p.coeffs) if c}
-    return sympy.Poly.from_dict(rep, _ST, domain="QQ")
-
-
-def from_sympy_univar(p: sympy.Poly) -> UnivarPoly:
-    return UnivarPoly([from_sympy_rational(c) for c in reversed(p.all_coeffs())])
-
 
 def squarefree_part(f: BivarPoly) -> BivarPoly:
     """The product of the distinct irreducible factors of f, canonically scaled.
@@ -527,52 +464,166 @@ def squarefree_part(f: BivarPoly) -> BivarPoly:
     Same real zero set as f; coefficients are coprime integers and the
     graded-lex leading coefficient is positive.
 
-    A product (f carries pieces, see BivarPoly) is answered as the product of
-    its irreducible factors, which are primitive with positive leads.  By
-    Gauss's lemma their product is primitive, and the graded-lex leading
-    coefficient of a product is the product of the leading coefficients, so
-    this is term for term the canonical scaling of sympy's squarefree part.
+    It is answered as the product of the irreducible factors of f, which are
+    primitive with positive leads.  By Gauss's lemma their product is
+    primitive, and the graded-lex leading coefficient of a product is the
+    product of the leading coefficients, so this is term for term the
+    canonical scaling of the squarefree part.
     """
     if f.is_zero():
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
     if f.is_constant():
         raise DegreeZeroError("squarefree part of a constant")
-    if f._pieces:
-        return math.prod(irreducible_factors(f), start=BivarPoly.constant(1))
-    sq = from_sympy_poly(to_sympy_poly(f).sqf_part())
-    return sq.normalized_primitive()
+    return math.prod(irreducible_factors(f), start=BivarPoly.constant(1))
 
 
-@lru_cache(maxsize=256)
+def _is_line_or_nondegenerate_conic(f: BivarPoly) -> bool:
+    """Whether f is irreducible by its shape alone: a line, or a conic whose
+    symmetric 3x3 matrix has a nonzero determinant (irreducible even over C)."""
+    if f.degree != 2:
+        return f.degree == 1
+    t = f._terms
+    a, b, c = t.get((2, 0), 0), t.get((1, 1), 0), t.get((0, 2), 0)
+    d, e, g = t.get((1, 0), 0), t.get((0, 1), 0), t.get((0, 0), 0)
+    # 4 * det [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, g]]
+    return 4 * a * c * g + b * d * e - a * e * e - c * d * d - g * b * b != 0
+
+
+def _sympy_factors(f: BivarPoly) -> set[BivarPoly]:
+    """The distinct irreducible factors of f from sympy's `factor_list`, each
+    canonically scaled.  sympy is imported here, the first time it is needed."""
+    import sympy
+
+    gens = sympy.symbols("x y")
+    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.items()}
+    _, factors = sympy.Poly.from_dict(rep, *gens, domain="QQ").factor_list()
+    return {BivarPoly({e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
+            .normalized_primitive() for p, _ in factors}
+
+
+_FACTOR_CACHE: dict[BivarPoly, tuple[BivarPoly, ...]] = {}
+_FACTOR_CACHE_SIZE = 1024
+
+
 def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
     """Distinct irreducible factors of f over Q (multiplicities dropped),
     each primitive with positive graded-lex lead, in a deterministic order.
 
     A product (f carries pieces, see BivarPoly) is factored one piece at a
     time: factorization in Q[x, y] is unique, so the union of the pieces'
-    irreducible factors is the factor set of their product.
+    irreducible factors is the factor set of their product.  A line, or a
+    conic with a nonzero determinant, is its own factor; anything else goes
+    to sympy's `factor_list`.
+
+    Results are cached on the terms of f, and every factor is cached as its
+    own split, so no polynomial is factored twice: not when a factor comes
+    back as a piece of the squarefree part, nor when it is input again.
     """
+    known = _FACTOR_CACHE.get(f)
+    if known is not None:
+        return known
     if f._pieces:
         out = {g for piece in f._pieces for g in irreducible_factors(piece)}
+    elif _is_line_or_nondegenerate_conic(f):
+        out = {f.normalized_primitive()}
     else:
-        _, factors = to_sympy_poly(f).factor_list()
-        out = {from_sympy_poly(p).normalized_primitive() for p, _ in factors}
-    return tuple(sorted(out, key=lambda g: sorted(g.terms.items())))
+        out = _sympy_factors(f)
+    factors = tuple(sorted(out, key=lambda g: sorted(g.terms.items())))
+    for key, value in [(f, factors), *((g, (g,)) for g in factors)]:
+        if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
+            del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]  # the oldest entry
+        _FACTOR_CACHE[key] = value
+    return factors
 
 
 # ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
+#
+# Integer polynomials in the other variable are lists of ints, lowest power
+# first, with no trailing zeros; [] is zero.
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a in Z[t]: each quotient coefficient is an
+    integer, so each step of long division divides exactly."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return []
+    rem = list(a)
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + n] // b[-1]
+        if c:
+            q[k] = c
+            for i, cb in enumerate(b):
+                rem[k + i] -= c * cb
+    return q
+
+
+def _integer_rows(f: BivarPoly, var: str) -> tuple[list[list[int]], int]:
+    """The coefficients of d*f in var, highest power first, as integer
+    polynomials in the other variable, and the common denominator d."""
+    rows = f.coeffs_in(var)
+    d = math.lcm(*(c.denominator for r in rows for c in r.coeffs))
+    return [[c.numerator * (d // c.denominator) for c in r.coeffs]
+            for r in reversed(rows)], d
+
 
 def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
     """Sylvester resultant eliminating `var`, as a polynomial in the other
-    variable: sympy's exact `Poly.resultant`, which has the sign of the
-    Sylvester determinant of f and g."""
+    variable: the determinant of the Sylvester matrix of f and g (deg g rows
+    of f's coefficients, then deg f rows of g's), by Bareiss's fraction-free
+    elimination over Z[t] (Bareiss, Math. Comp. 22, 1968) after clearing
+    denominators.  Each division in the elimination is exact."""
     if var not in ("x", "y"):
         raise ValueError("var must be 'x' or 'y'")
     m, n = f.deg_in(var), g.deg_in(var)
     if m <= 0 or n <= 0:
         raise DegenerateEliminationError(f"input of degree {min(m, n)} in {var}")
-    gens = (_SX, _SY) if var == "x" else (_SY, _SX)  # sympy eliminates the first
-    sf, sg = to_sympy_poly(f).reorder(*gens), to_sympy_poly(g).reorder(*gens)
-    return from_sympy_univar(sf.resultant(sg))
+    fr, df = _integer_rows(f, var)
+    gr, dg = _integer_rows(g, var)
+    size = m + n
+    mat: list[list[list[int]]] = [[[] for _ in range(size)] for _ in range(size)]
+    for r in range(n):
+        mat[r][r:r + m + 1] = fr
+    for r in range(m):
+        mat[n + r][r:r + n + 1] = gr
+    sign, prev = 1, [1]
+    for k in range(size - 1):
+        pivot = next((r for r in range(k, size) if mat[r][k]), None)
+        if pivot is None:
+            return UnivarPoly()
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        top = mat[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for c in range(k + 1, size):
+                entry = _int_sub(_int_mul(row[c], top[k]), _int_mul(lead, top[c]))
+                row[c] = _int_exact_div(entry, prev)
+            row[k] = []
+        prev = top[k]
+    # res(df*f, dg*g) = df^n * dg^m * res(f, g)
+    scale = Fraction(sign, df ** n * dg ** m)
+    return UnivarPoly([scale * c for c in mat[-1][-1]])

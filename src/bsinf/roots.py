@@ -1,8 +1,8 @@
 """Certified real-root tools for univariate polynomials over Q.
 
-Sturm-sequence sign-variation counting and dyadic bisection; rational roots
-are extracted exactly and the others isolated by sympy, so isolating
-intervals for the remaining roots never have roots at their endpoints.
+Sturm-sequence sign-variation counting and bisection.  Rational roots are
+found exactly without factoring, and isolating intervals of the other roots
+never have roots at their endpoints.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import UnivarPoly, from_sympy_rational, to_sympy_univar
+from .poly import UnivarPoly
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,12 @@ class RootInterval:
 
 
 def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
-    """Sturm chain of p; remainders are renormalized by positive factors only."""
+    """Sturm chain of the squarefree part of p, with integer coefficients.
+
+    The remainder sequence of p and p' ends in g = gcd(p, p'); divided by g
+    it is a Sturm chain of p/g, which has the distinct roots of p as simple
+    roots.  Remainders are renormalized by positive factors only.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     chain = [p.primitive()]
@@ -47,16 +52,28 @@ def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
     while True:
         r = -chain[-2].rem(chain[-1])
         if r.is_zero():
-            return chain
+            break
         chain.append(r.primitive())
+    if chain[-1].degree > 0:
+        g = chain[-1]
+        chain = [q.divmod(g)[0].primitive() for q in chain]
+    return chain
+
+
+def _sign_at(q: UnivarPoly, t: Fraction) -> int:
+    """Sign of q(t) for q with integer coefficients, on integers: with
+    t = a/b, b > 0, it is the sign of b^n q(t), the sum of c_k a^k b^(n-k)."""
+    a, b = t.numerator, t.denominator
+    acc, b_power = 0, 1
+    for c in reversed(q.coeffs):
+        acc = acc * a + c.numerator * b_power
+        b_power *= b
+    return (acc > 0) - (acc < 0)
 
 
 def sign_variations(chain: list[UnivarPoly], t: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(t)
-        if v:
-            signs.append(v > 0)
+    """Sign variations of a Sturm chain (integer coefficients) at t."""
+    signs = [s for s in (_sign_at(q, t) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -67,67 +84,74 @@ def count_roots_in(p: UnivarPoly, low: Fraction, high: Fraction) -> int:
         raise ValueError("need low < high")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = sturm_chain(p.squarefree())
+    chain = sturm_chain(p)
     return sign_variations(chain, low) - sign_variations(chain, high)
 
 
-def _rational_roots(p: UnivarPoly) -> list[Fraction]:
-    """All rational roots of p, via exact univariate factorization."""
-    roots = []
-    for fac, _ in to_sympy_univar(p).factor_list()[1]:
-        if fac.degree() == 1:
-            roots.append(-from_sympy_rational(fac.nth(0)) / from_sympy_rational(fac.nth(1)))
-    return sorted(roots)
+def _isolate_one(sf: UnivarPoly, chain: list[UnivarPoly], lo: Fraction, hi: Fraction,
+                 v_hi: int, lead: int) -> RootInterval:
+    """The root of sf in (lo, hi], its only one: an exact point if it is
+    rational, else an interval with no root at either end.
+
+    sf is a primitive integer polynomial with leading coefficient +-lead, so a
+    rational root has a denominator of at most lead, and two such rationals
+    are at least 1/lead^2 apart.  The nearest of them to the midpoint is the
+    only candidate inside: if it lies outside, the root is irrational.  Else
+    the interval is cut at the candidate and at the midpoint, so it at least
+    halves, and below width 1/lead^2 a rational root is its own candidate.
+    """
+    if _sign_at(sf, hi) == 0:
+        return RootInterval(hi, hi, hi)
+    while _sign_at(sf, lo) == 0:  # lo is the root of the interval to the left
+        mid = (lo + hi) / 2
+        if _sign_at(sf, mid) == 0:
+            return RootInterval(mid, mid, mid)
+        if sign_variations(chain, mid) - v_hi == 1:
+            lo = mid
+        else:
+            hi = mid
+    sign_lo = _sign_at(sf, lo)
+    while True:
+        mid = (lo + hi) / 2
+        candidate = mid.limit_denominator(lead)
+        if not lo < candidate < hi:
+            return RootInterval(lo, hi)
+        for t in sorted({candidate, mid}):
+            sign = _sign_at(sf, t)
+            if sign == 0:
+                return RootInterval(t, t, t)
+            if sign != sign_lo:
+                hi = t
+                break
+            lo = t
 
 
 def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
     """Pairwise-disjoint isolating intervals, one per distinct real root of p,
     sorted by low endpoint; rational roots come back as exact points.
+
+    Bisection of (-B, B], B a power of 2 above Cauchy's root bound, on Sturm
+    counts of half-open intervals, until each holds one root.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    sf = p.squarefree().primitive()
+    chain = sturm_chain(p)
+    sf = chain[0]  # the squarefree part of p, up to a nonzero factor
     if sf.degree <= 0:
         return []
-
-    exact = _rational_roots(sf)
-    rest = sf
-    for q in exact:
-        rest, rem = rest.divmod(UnivarPoly([-q, 1]))
-        assert rem.is_zero()
-
-    intervals = [RootInterval(q, q, q) for q in exact]
-    if rest.degree > 0:
-        for (a, b), _ in to_sympy_univar(rest).intervals():
-            lo, hi = from_sympy_rational(a), from_sympy_rational(b)
-            # shrink until no rational root of p sits inside the interval
-            while any(lo <= q <= hi for q in exact):
-                mid = (lo + hi) / 2
-                if rest(lo) * rest(mid) < 0:
-                    hi = mid
-                else:
-                    lo = mid
-            intervals.append(RootInterval(lo, hi))
-
+    lead = abs(sf.leading())
+    cauchy = 1 + max(abs(c) for c in sf.coeffs[:-1]) / lead
+    bound = Fraction(1)
+    while bound <= cauchy:
+        bound *= 2
+    intervals = []
+    todo = [(-bound, bound, sign_variations(chain, -bound), sign_variations(chain, bound))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            intervals.append(_isolate_one(sf, chain, lo, hi, v_hi, lead.numerator))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = sign_variations(chain, mid)
+            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(intervals, key=lambda iv: iv.low)
-
-
-def refine_root(p: UnivarPoly, interval: RootInterval, max_width: Fraction) -> RootInterval:
-    """Shrink an isolating interval of p to the requested width by sign bisection."""
-    if interval.exact_point is not None:
-        return interval
-    sf = p.squarefree()
-    lo, hi = interval.low, interval.high
-    slo = sf(lo)
-    if slo == 0 or sf(hi) == 0 or slo * sf(hi) > 0:
-        raise ValueError("not a sign-change isolating interval")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        smid = sf(mid)
-        if smid == 0:
-            return RootInterval(mid, mid, mid)
-        if slo * smid < 0:
-            hi = mid
-        else:
-            lo, slo = mid, smid
-    return RootInterval(lo, hi)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from bsinf.poly import BivarPoly, UnivarPoly
 
@@ -50,10 +52,17 @@ def random_unimodular(rng: random.Random, steps: int = 4) -> tuple[tuple[int, in
     return (tuple(m[0]), tuple(m[1]))
 
 
+def squarefree(p: UnivarPoly) -> UnivarPoly:
+    """The squarefree part of p, from sympy's `sqf_part`."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    sf = sympy.Poly(coeffs, sympy.Symbol("t")).sqf_part()
+    return UnivarPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sf.all_coeffs())])
+
+
 def brute_distinct_real_roots(p: UnivarPoly) -> int:
     """Independent root counter: fine grid sign scan of the squarefree part
     over [-B, B] with B a root bound."""
-    sf = p.squarefree()
+    sf = squarefree(p)
     if sf.degree <= 0:
         return 0
     lc = abs(sf.leading())
@@ -115,20 +124,30 @@ def germ_curve(germ: BivarPoly) -> BivarPoly:
     return BivarPoly({(i, e - i - j): c for (i, j), c in germ.items()})
 
 
+def eval_float(g: BivarPoly, px: float, py: float) -> float:
+    """g at a float point, term by term."""
+    return sum(float(c) * px ** i * py ** j for (i, j), c in g.items())
+
+
 def trace_direction_counts(g: BivarPoly, radius: float, directions,
                            grid: int = 2 ** 14) -> dict[tuple[int, int], int]:
     """Independent float tracer: sign-change scan of g on the circle of the
     given radius about the origin, each crossing bisected and assigned to the
-    nearest of the given directions (DirectionS1 values)."""
+    nearest of the given directions (DirectionS1 values).  A run of samples
+    where g is exactly 0 is one crossing, at its first sample."""
 
     def at(theta: float) -> float:
-        return g.eval_float(radius * math.cos(theta), radius * math.sin(theta))
+        return eval_float(g, radius * math.cos(theta), radius * math.sin(theta))
 
     step = 2 * math.pi / grid
     vals = [at(k * step) for k in range(grid)]
-    counts: dict[tuple[int, int], int] = {}
+    crossings = []
     for k in range(grid):
         a, b = vals[k], vals[(k + 1) % grid]
+        if a == 0 and vals[k - 1] != 0:
+            crossings.append(k * step)
+        # the product is < 0 only between two nonzero samples of opposite
+        # sign, so a zero sample is not counted twice
         if a * b < 0:
             lo, hi = k * step, (k + 1) * step
             for _ in range(60):
@@ -138,14 +157,16 @@ def trace_direction_counts(g: BivarPoly, radius: float, directions,
                     hi = mid
                 else:
                     lo, a = mid, vm
-            theta = 0.5 * (lo + hi)
-            nearest = max(directions, key=lambda d: d.unit[0] * math.cos(theta)
-                          + d.unit[1] * math.sin(theta))
-            counts[nearest.rep] = counts.get(nearest.rep, 0) + 1
+            crossings.append(0.5 * (lo + hi))
+    counts: dict[tuple[int, int], int] = {}
+    for theta in crossings:
+        nearest = max(directions, key=lambda d: d.unit[0] * math.cos(theta)
+                      + d.unit[1] * math.sin(theta))
+        counts[nearest.rep] = counts.get(nearest.rep, 0) + 1
     return counts
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)
 

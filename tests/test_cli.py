@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from bsinf.cli import main
 from bsinf.invariant import KInvariant, NormalFormDescriptor, k_at_infinity
@@ -165,3 +168,32 @@ def test_check_disagreement_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "oracle_k", bogus_oracle)
     code, out, _ = run(capsys, "check", "y^2 - x^3")
     assert code == 4 and "DISAGREE" in out
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_product_and_tuple_commands_import_neither_sympy_nor_numpy():
+    code = """if True:
+        import json, sys
+        from bsinf.cli import main
+        for argv in (["realize", "1,3"], ["normal-form", "--json", "1,1,2,2"],
+                     ["invariant", "(y - x - 1)*(y + x)"]):
+            assert main(argv) == 0, argv
+        print(json.dumps(sorted(m for m in ("sympy", "numpy") if m in sys.modules)))
+    """
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_check_runs_in_a_fresh_process():
+    proc = run_python("-m", "bsinf", "check", "y^2 - x^3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("AGREE")

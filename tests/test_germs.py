@@ -236,6 +236,15 @@ def test_random_germ_products_match_numeric_trace(rng):
         assert counts == records_by_direction(f), str(f)
 
 
+def test_trace_counts_a_crossing_on_a_grid_sample():
+    # the circle of radius 8 meets the line y = 0 of this curve exactly at
+    # the grid sample theta = 0, where the tracer reads g = 0
+    f = parse_poly("-4*y^3 - 10*y^2 - x*y - 4*y")
+    radius, counts = traced(f)
+    assert radius == 8
+    assert counts == records_by_direction(f) == {(1, 0): 1, (-1, 0): 3}
+
+
 def test_signed_counts_at_override_radius():
     f = germ_curve(Z - W ** 3)  # y^2 - x^3
     sf, points, _, _ = circle_setup(f)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsinf import poly
 from bsinf.errors import NotRealizableError
 from bsinf.invariant import (
     KInvariant,
@@ -15,7 +16,7 @@ from bsinf.invariant import (
     realize_tuple,
 )
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, irreducible_factors
+from bsinf.poly import BivarPoly
 
 from conftest import affine_image, even_sum_tuples, random_unimodular
 
@@ -195,9 +196,9 @@ def test_expanded_text_matches_product_on_criterion_1_sample():
         for f in (emit_normal_form(canonical_descriptor(eta)), realize_tuple(eta)):
             expanded = parse_poly(str(f))
             assert f._pieces and not expanded._pieces
-            irreducible_factors.cache_clear()  # keyed on terms: keep the paths apart
+            poly._FACTOR_CACHE.clear()  # keyed on terms: keep the paths apart
             via_text = k_at_infinity(expanded)
-            irreducible_factors.cache_clear()
+            poly._FACTOR_CACHE.clear()
             via_product = k_at_infinity(f)
             assert via_text.records == via_product.records, t
             assert via_text.k == eta

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsinf import poly
 from bsinf.errors import DegenerateEliminationError
+from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import (
     BivarPoly,
@@ -15,6 +18,8 @@ from bsinf.poly import (
 )
 
 from conftest import sylvester_resultant
+
+SX, SY = sympy.symbols("x y")
 
 
 def test_squarefree_repeated_factor():
@@ -87,10 +92,11 @@ def products(draw):
 def test_product_path_matches_expanded_path(f):
     plain = BivarPoly(f.terms)  # the same polynomial without its pieces
     assert f._pieces and not plain._pieces
-    # the cache keys on terms alone, so the expanded path must bypass it
-    irreducible_factors.cache_clear()
+    # the cache keys on terms alone, so each path starts from an empty one
+    poly._FACTOR_CACHE.clear()
     factors = irreducible_factors(f)
-    plain_factors = irreducible_factors.__wrapped__(plain)
+    poly._FACTOR_CACHE.clear()
+    plain_factors = irreducible_factors(plain)
     assert [g.terms for g in factors] == [g.terms for g in plain_factors]
     assert squarefree_part(f).terms == squarefree_part(plain).terms
 
@@ -152,6 +158,108 @@ def test_univariate_resultant_signs():
         g = parse_poly(f"{var} - 5")
         assert resultant(f, g, var) == UnivarPoly([-3])
         assert resultant(g, f, var) == UnivarPoly([3])
+
+
+def to_sympy(f: BivarPoly) -> sympy.Poly:
+    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.items()}
+    return sympy.Poly.from_dict(rep, SX, SY, domain="QQ")
+
+
+def from_sympy(p: sympy.Poly) -> BivarPoly:
+    return BivarPoly({e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
+
+
+@st.composite
+def eliminable_pairs(draw):
+    """Two polynomials of degree 1..3 in y and 0..3 in x, with small rational
+    coefficients, and the variable to eliminate."""
+    def one():
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+        terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                     coeff, max_size=6))
+        terms[(draw(st.integers(0, 3)), draw(st.integers(1, 3)))] = draw(
+            coeff.filter(bool))
+        return BivarPoly(terms)
+    f, g = one(), one()
+    var = draw(st.sampled_from(["x", "y"]))
+    if var == "x":  # the same shapes with the variables swapped
+        f, g = (BivarPoly({(j, i): c for (i, j), c in h.items()}) for h in (f, g))
+    return f, g, var
+
+
+@given(eliminable_pairs())
+@settings(max_examples=60, deadline=None)
+def test_resultant_matches_sympy_and_sylvester(pair):
+    f, g, var = pair
+    got = resultant(f, g, var)
+    assert got == sylvester_resultant(f, g, var)
+    gens = (SX, SY) if var == "x" else (SY, SX)  # sympy eliminates the first
+    theirs = to_sympy(f).reorder(*gens).resultant(to_sympy(g).reorder(*gens))
+    expected = UnivarPoly([Fraction(int(c.p), int(c.q)) for c in reversed(theirs.all_coeffs())])
+    # sympy 1.14 answers res(g, f) = (-1)^(mn) res(f, g) when m = deg f is
+    # below n = deg g: res(y, y^3 + 1, y) is -1 there, where the Sylvester
+    # determinant is 1
+    m, n = f.deg_in(var), g.deg_in(var)
+    assert got == expected or (m < n and m * n % 2 and got == -expected)
+
+
+@st.composite
+def lines_and_conics(draw):
+    small = st.integers(-4, 4)
+    degree = draw(st.sampled_from([1, 2]))
+    exps = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    f = BivarPoly({e: draw(small) for e in exps})
+    return f if f.degree == degree else f + BivarPoly({(0, degree): 1})
+
+
+def assert_split_matches_factor_list(f: BivarPoly) -> None:
+    poly._FACTOR_CACHE.clear()
+    _, factors = to_sympy(f).factor_list()
+    expected = sorted(sorted(from_sympy(p).normalized_primitive().terms.items())
+                      for p, _ in factors)
+    assert sorted(sorted(g.terms.items()) for g in irreducible_factors(f)) == expected
+
+
+@given(lines_and_conics())
+@settings(max_examples=100, deadline=None)
+def test_line_and_conic_shortcut_matches_factor_list(f):
+    if poly._is_line_or_nondegenerate_conic(f):
+        _, factors = to_sympy(f).factor_list()
+        assert [(p.total_degree(), k) for p, k in factors] == [(f.degree, 1)]
+    assert_split_matches_factor_list(f)
+
+
+@pytest.mark.parametrize("text, shortcut", [
+    ("x^2 - y^2", False),      # two lines
+    ("x^2", False),            # a double line
+    ("x^2 + y^2", False),      # two complex lines, irreducible over Q
+    ("x^2 + y^2 + 1", True),   # no real points, irreducible over C
+    ("x*y - 1", True),
+    ("y - x^2", True),
+    ("x*y + x", False),        # x*(y + 1)
+])
+def test_degenerate_conics(text, shortcut):
+    f = parse_poly(text)
+    assert poly._is_line_or_nondegenerate_conic(f) == shortcut
+    assert_split_matches_factor_list(f)
+
+
+def test_expanded_input_is_factored_once(monkeypatch):
+    calls = []
+    sympy_factors = poly._sympy_factors
+
+    def counted(f):
+        calls.append(f)
+        return sympy_factors(f)
+
+    monkeypatch.setattr(poly, "_sympy_factors", counted)
+    poly._FACTOR_CACHE.clear()
+    # x*(y^2 - x^3)*(x + y^2 + 1), expanded, with the cusp scaled by -2
+    f = parse_poly(str(parse_poly("-2*x*(y^2 - x^3)*(x + y^2 + 1)")))
+    assert not f._pieces
+    report = k_at_infinity(f)
+    assert report.k.entries == (2, 2, 2)
+    assert calls == [f]
 
 
 @pytest.mark.parametrize("cls, base", [

@@ -1,16 +1,34 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsinf.poly import UnivarPoly
-from bsinf.roots import (
-    RootInterval,
-    count_roots_in,
-    isolate_real_roots,
-    refine_root,
-)
+from bsinf.roots import RootInterval, count_roots_in, isolate_real_roots
 
-from conftest import brute_distinct_real_roots
+from conftest import brute_distinct_real_roots, squarefree
+
+
+def refine(p: UnivarPoly, interval: RootInterval, max_width: Fraction) -> RootInterval:
+    """Shrink an isolating interval of p to the requested width by sign
+    bisection; it must be an exact point or a sign-change bracket."""
+    if interval.exact_point is not None:
+        return interval
+    lo, hi = interval.low, interval.high
+    slo = p(lo)
+    assert slo != 0 and p(hi) != 0 and slo * p(hi) < 0, "not a sign-change bracket"
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        smid = p(mid)
+        if smid == 0:
+            return RootInterval(mid, mid, mid)
+        if slo * smid < 0:
+            hi = mid
+        else:
+            lo, slo = mid, smid
+    return RootInterval(lo, hi)
 
 
 def test_sqrt2_isolation():
@@ -54,6 +72,38 @@ def test_counts_match_brute_force(rng):
         assert len(isolate_real_roots(p)) == brute_distinct_real_roots(p)
 
 
+@st.composite
+def polys_with_rational_roots(draw):
+    """A product of linear factors a*t - b, some repeated, and a random
+    polynomial of degree <= 6 with small rational coefficients."""
+    p = UnivarPoly([draw(st.fractions(-9, 9, max_denominator=4))
+                    for _ in range(draw(st.integers(0, 6)))] + [draw(st.integers(1, 9))])
+    for _ in range(draw(st.integers(0, 4))):
+        line = UnivarPoly([-draw(st.integers(-12, 12)), draw(st.integers(1, 6))])
+        p = p * line ** draw(st.integers(1, 2))
+    return p
+
+
+@given(polys_with_rational_roots())
+@settings(max_examples=80, deadline=None)
+def test_isolation_matches_sympy(p):
+    if p.degree < 1:
+        return
+    t = sympy.Symbol("t")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], t)
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == sp.sqf_part().count_roots()
+    rational = sorted(-Fraction(str(q.nth(0))) / Fraction(str(q.nth(1)))
+                      for q, _ in sp.factor_list()[1] if q.degree() == 1)
+    assert [iv.exact_point for iv in ivs if iv.exact_point is not None] == rational
+    sf = squarefree(p)
+    for iv in ivs:
+        if iv.exact_point is None:  # a sign change, with no rational root inside
+            assert sf(iv.low) * sf(iv.high) < 0
+            assert not any(iv.low <= q <= iv.high for q in rational)
+    assert all(a.high < b.low for a, b in zip(ivs, ivs[1:]))
+
+
 def test_count_roots_in_examples():
     p = UnivarPoly([-2, 0, 1])  # x^2 - 2
     assert count_roots_in(p, Fraction(0), Fraction(2)) == 1
@@ -81,12 +131,12 @@ def test_count_agrees_with_isolation(rng):
         ivs = isolate_real_roots(p)
         inside = 0
         for iv in ivs:
-            iv = refine_root(p, iv, Fraction(1, 1024))
+            iv = refine(squarefree(p), iv, Fraction(1, 1024))
             if iv.exact_point is not None:
                 inside += int(lo < iv.exact_point <= hi)
             else:
                 while not (lo >= iv.high or iv.low > hi or (lo < iv.low and iv.high <= hi)):
-                    iv = refine_root(p, iv, iv.width / 4)
+                    iv = refine(squarefree(p), iv, iv.width / 4)
                 inside += int(lo < iv.low and iv.high <= hi)
         assert count_roots_in(p, lo, hi) == inside
 
@@ -94,7 +144,7 @@ def test_count_agrees_with_isolation(rng):
 def test_refinement_to_requested_width():
     p = UnivarPoly([-2, 0, 1])
     iv = isolate_real_roots(p)[1]
-    fine = refine_root(p, iv, Fraction(1, 2 ** 30))
+    fine = refine(squarefree(p), iv, Fraction(1, 2 ** 30))
     assert fine.width <= Fraction(1, 2 ** 30)
     assert float(fine.low) <= 2 ** 0.5 <= float(fine.high)
 
