@@ -176,22 +176,12 @@ def _elim(a: BivarPoly, b: BivarPoly, var: str) -> UnivarPoly:
     the projections of all common zeros of a and b, which share no factor."""
     da, db = a.deg_in(var), b.deg_in(var)
     if da == 0:
-        return _as_univar(a, var)
+        return a.subs_value(var, 0)
     if db == 0:
-        return _as_univar(b, var)
+        return b.subs_value(var, 0)
     r = resultant(a, b, var)
     assert not r.is_zero(), "coprime inputs have a nonzero resultant"
     return r
-
-
-def _as_univar(p: BivarPoly, eliminated: str) -> UnivarPoly:
-    """View a polynomial with degree 0 in `eliminated` as univariate in the other."""
-    other = "x" if eliminated == "y" else "y"
-    n = p.deg_in(other)
-    coeffs = [Fraction(0)] * (n + 1)
-    for (i, j), c in p.items():
-        coeffs[(i, j)[0 if other == "x" else 1]] = c
-    return UnivarPoly(coeffs)
 
 
 def _root_bound(p: UnivarPoly) -> Fraction:
@@ -238,8 +228,8 @@ def count_half_branches(u: BivarPoly, sectors: Sectors) -> list[int]:
 
 def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
                        epsilon: Fraction | None = None) -> list[tuple[int, int]]:
-    """(plus, minus) half-branch counts of the squarefree curve f at each of
-    its points at infinity, certified.
+    """(plus, minus) half-branch counts of the curve f at each of its points
+    at infinity, certified; repeated factors of f count once.
 
     With epsilon, the whole curve is counted on the circle of radius
     1/epsilon instead, and the counts are not certified.

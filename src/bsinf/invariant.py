@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DegreeZeroError, NotRealizableError, ZeroPolynomialError
 from .germs import half_branch_counts
-from .poly import BivarPoly, squarefree_part
+from .poly import BivarPoly
 from .projective import DirectionS1, ProjPointAtInfinity, direction_pair, points_at_infinity
 
 
@@ -138,7 +138,10 @@ class InfinityReport:
 def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> InfinityReport:
     """Complete invariant of the curve {f = 0} at infinity.
 
-    Works on the squarefree part of f.  epsilon_override skips the certified
+    Works on f as given: a repeated factor has the same real points at
+    infinity, circle points and sector signs as the factor itself, Sturm
+    counts see distinct roots only, and the certified count splits f into
+    its distinct irreducible factors.  epsilon_override skips the certified
     radius and counts the whole curve on the circle of radius
     1/epsilon_override, marking every record uncertified.
     """
@@ -146,11 +149,10 @@ def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> 
         raise ZeroPolynomialError("not a curve")
     if f.is_constant():
         raise DegreeZeroError("not a curve")
-    sf = squarefree_part(f)
-    points = points_at_infinity(sf)
+    points = points_at_infinity(f)
     records = []
     counts: list[int] = []
-    for point, (plus, minus) in zip(points, half_branch_counts(sf, points, epsilon_override)):
+    for point, (plus, minus) in zip(points, half_branch_counts(f, points, epsilon_override)):
         if plus == 0 and minus == 0:
             continue
         plus_dir, minus_dir = direction_pair(point)

@@ -10,6 +10,7 @@ is neither a product nor a line or a nondegenerate conic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -191,8 +192,8 @@ class BivarPoly:
     counts as one piece and constants are dropped.  So the product equals its
     pieces' product (with multiplicities) up to a nonzero constant.  Negation
     keeps the pieces; `+`, `-` and `scale` drop them.  Pieces never enter
-    equality or hashing; `irreducible_factors` and `squarefree_part` use them
-    to factor a product one piece at a time.
+    equality or hashing; `irreducible_factors` uses them to factor a product
+    one piece at a time.
     """
 
     __slots__ = ("_terms", "_hash", "_pieces")
@@ -501,10 +502,7 @@ def _sympy_factors(f: BivarPoly) -> set[BivarPoly]:
             .normalized_primitive() for p, _ in factors}
 
 
-_FACTOR_CACHE: dict[BivarPoly, tuple[BivarPoly, ...]] = {}
-_FACTOR_CACHE_SIZE = 1024
-
-
+@functools.lru_cache(maxsize=1024)
 def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
     """Distinct irreducible factors of f over Q (multiplicities dropped),
     each primitive with positive graded-lex lead, in a deterministic order.
@@ -513,27 +511,16 @@ def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
     time: factorization in Q[x, y] is unique, so the union of the pieces'
     irreducible factors is the factor set of their product.  A line, or a
     conic with a nonzero determinant, is its own factor; anything else goes
-    to sympy's `factor_list`.
-
-    Results are cached on the terms of f, and every factor is cached as its
-    own split, so no polynomial is factored twice: not when a factor comes
-    back as a piece of the squarefree part, nor when it is input again.
+    to sympy's `factor_list`.  Results are cached on the terms of f, so a
+    curve counted and then reduced for the oracle is factored once.
     """
-    known = _FACTOR_CACHE.get(f)
-    if known is not None:
-        return known
     if f._pieces:
         out = {g for piece in f._pieces for g in irreducible_factors(piece)}
     elif _is_line_or_nondegenerate_conic(f):
         out = {f.normalized_primitive()}
     else:
         out = _sympy_factors(f)
-    factors = tuple(sorted(out, key=lambda g: sorted(g.terms.items())))
-    for key, value in [(f, factors), *((g, (g,)) for g in factors)]:
-        if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
-            del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]  # the oldest entry
-        _FACTOR_CACHE[key] = value
-    return factors
+    return tuple(sorted(out, key=lambda g: sorted(g.terms.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,6 @@ def sign_variations(chain: list[UnivarPoly], t: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(p: UnivarPoly, low: Fraction, high: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (low, high]."""
-    low, high = Fraction(low), Fraction(high)
-    if not low < high:
-        raise ValueError("need low < high")
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    chain = sturm_chain(p)
-    return sign_variations(chain, low) - sign_variations(chain, high)
-
-
 def _isolate_one(sf: UnivarPoly, chain: list[UnivarPoly], lo: Fraction, hi: Fraction,
                  v_hi: int, lead: int) -> RootInterval:
     """The root of sf in (lo, hi], its only one: an exact point if it is
@@ -131,7 +120,8 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
     sorted by low endpoint; rational roots come back as exact points.
 
     Bisection of (-B, B], B a power of 2 above Cauchy's root bound, on Sturm
-    counts of half-open intervals, until each holds one root.
+    counts of half-open intervals, until each holds one root; neighbours
+    that meet at a bisection point are then pulled apart about it.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -154,4 +144,20 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
             mid = (lo + hi) / 2
             v_mid = sign_variations(chain, mid)
             todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return sorted(intervals, key=lambda iv: iv.low)
+    intervals.sort(key=lambda iv: iv.low)
+    for k in range(len(intervals) - 1):
+        below, above = intervals[k], intervals[k + 1]
+        shared = below.high
+        if shared < above.low:
+            continue
+        # neighbours from one bisection share its point, which is no root, so
+        # each brackets a root on its side.  Cut a gap of equal halves about
+        # the point: the midpoint between the two, where circle_sectors puts
+        # a separator, stays the same
+        sign = _sign_at(sf, shared)
+        gap = min(shared - below.low, above.high - shared) / 2
+        while _sign_at(sf, shared - gap) != sign or _sign_at(sf, shared + gap) != sign:
+            gap /= 2
+        intervals[k] = RootInterval(below.low, shared - gap)
+        intervals[k + 1] = RootInterval(shared + gap, above.high)
+    return intervals

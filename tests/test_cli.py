@@ -183,9 +183,13 @@ def test_product_and_tuple_commands_import_neither_sympy_nor_numpy():
     code = """if True:
         import json, sys
         from bsinf.cli import main
-        for argv in (["realize", "1,3"], ["normal-form", "--json", "1,1,2,2"],
-                     ["invariant", "(y - x - 1)*(y + x)"]):
-            assert main(argv) == 0, argv
+        for argv, code in ((["realize", "1,3"], 0), (["normal-form", "--json", "1,1,2,2"], 0),
+                           (["invariant", "(y - x - 1)*(y + x)"], 0),
+                           # the whole curve on one circle: nothing to factor
+                           (["invariant", "--epsilon", "1/64", "y^2 - x^3"], 0),
+                           # an irrational direction is refused before factoring
+                           (["invariant", "y^2 - 2*x^2"], 1)):
+            assert main(argv) == code, argv
         print(json.dumps(sorted(m for m in ("sympy", "numpy") if m in sys.modules)))
     """
     proc = run_python("-c", code)

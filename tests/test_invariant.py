@@ -196,9 +196,9 @@ def test_expanded_text_matches_product_on_criterion_1_sample():
         for f in (emit_normal_form(canonical_descriptor(eta)), realize_tuple(eta)):
             expanded = parse_poly(str(f))
             assert f._pieces and not expanded._pieces
-            poly._FACTOR_CACHE.clear()  # keyed on terms: keep the paths apart
+            poly.irreducible_factors.cache_clear()  # keyed on terms: keep the paths apart
             via_text = k_at_infinity(expanded)
-            poly._FACTOR_CACHE.clear()
+            poly.irreducible_factors.cache_clear()
             via_product = k_at_infinity(f)
             assert via_text.records == via_product.records, t
             assert via_text.k == eta

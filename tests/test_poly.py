@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf import poly
-from bsinf.errors import DegenerateEliminationError
+from bsinf.errors import BsinfError, DegenerateEliminationError
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import (
@@ -93,12 +93,34 @@ def test_product_path_matches_expanded_path(f):
     plain = BivarPoly(f.terms)  # the same polynomial without its pieces
     assert f._pieces and not plain._pieces
     # the cache keys on terms alone, so each path starts from an empty one
-    poly._FACTOR_CACHE.clear()
+    poly.irreducible_factors.cache_clear()
     factors = irreducible_factors(f)
-    poly._FACTOR_CACHE.clear()
+    poly.irreducible_factors.cache_clear()
     plain_factors = irreducible_factors(plain)
     assert [g.terms for g in factors] == [g.terms for g in plain_factors]
     assert squarefree_part(f).terms == squarefree_part(plain).terms
+
+
+def records_or_error(f: BivarPoly, epsilon: Fraction | None):
+    try:
+        return k_at_infinity(f, epsilon_override=epsilon).records
+    except (BsinfError, ValueError) as exc:  # e.g. an irrational direction
+        return type(exc)
+
+
+@pytest.mark.parametrize("epsilon", [None, Fraction(1, 16)], ids=["certified", "epsilon"])
+@pytest.mark.parametrize("text", ["(y^2 - x^3)^2*(y - x)", "x^2*(x^2 + y^2 - 1)"])
+def test_repeated_factors_count_as_their_squarefree_part(text, epsilon):
+    f = parse_poly(text)
+    assert (k_at_infinity(f, epsilon_override=epsilon).records
+            == k_at_infinity(squarefree_part(f), epsilon_override=epsilon).records)
+
+
+@pytest.mark.parametrize("epsilon", [None, Fraction(1, 16)], ids=["certified", "epsilon"])
+@given(f=products())
+@settings(max_examples=30, deadline=None)
+def test_products_count_as_their_squarefree_part(f, epsilon):
+    assert records_or_error(f, epsilon) == records_or_error(squarefree_part(f), epsilon)
 
 
 def test_pieces_follow_products_only():
@@ -213,7 +235,7 @@ def lines_and_conics(draw):
 
 
 def assert_split_matches_factor_list(f: BivarPoly) -> None:
-    poly._FACTOR_CACHE.clear()
+    poly.irreducible_factors.cache_clear()
     _, factors = to_sympy(f).factor_list()
     expected = sorted(sorted(from_sympy(p).normalized_primitive().terms.items())
                       for p, _ in factors)
@@ -253,7 +275,7 @@ def test_expanded_input_is_factored_once(monkeypatch):
         return sympy_factors(f)
 
     monkeypatch.setattr(poly, "_sympy_factors", counted)
-    poly._FACTOR_CACHE.clear()
+    poly.irreducible_factors.cache_clear()
     # x*(y^2 - x^3)*(x + y^2 + 1), expanded, with the cusp scaled by -2
     f = parse_poly(str(parse_poly("-2*x*(y^2 - x^3)*(x + y^2 + 1)")))
     assert not f._pieces
