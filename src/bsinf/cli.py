@@ -156,8 +156,8 @@ def _cmd_realize(args) -> int:
 
 def _cmd_check(args) -> int:
     f = _read_curve_arg(args.curve)
-    exact = k_at_infinity(f)
     cfg = OracleConfig(radii_exponents=tuple(range(4, args.radius_max + 1)))
+    exact = k_at_infinity(f)
     # the invariant concerns the zero set: a repeated factor would read to the
     # sign-scanning oracle as a persistent tangency, so compare reduced curves
     est = oracle_k(squarefree_part(f), cfg)

@@ -201,11 +201,25 @@ def _certified_bound(u: BivarPoly, sectors: Sectors) -> Fraction:
     c, s = sectors.rotation
     rays = [(c * (1 - t * t) - 2 * s * t, s * (1 - t * t) + 2 * c * t)
             for t in sectors.separators]
+    # u(s*v) as a polynomial in s, times the positive constant den * q^deg u
+    # (which leaves the root bound as it is) so that it is in integers:
+    # with u = U/den and v = (a, b)/q its s^k coefficient is A_k * q^(deg - k),
+    # A_k the sum of U_ij * a^i * b^j over i + j = k
+    d = u.degree
+    den = math.lcm(*(cf.denominator for _, cf in u.items()))
+    terms = [(i, j, int(cf * den)) for (i, j), cf in u.items()]
     for vx, vy in rays + [(-c, -s)]:
-        along = [Fraction(0)] * (u.degree + 1)  # u(s*v) as a polynomial in s
-        for (i, j), cf in u.items():
-            along[i + j] += cf * vx ** i * vy ** j
-        squares.append(_root_bound(UnivarPoly(along)) ** 2 * (vx * vx + vy * vy))
+        q = math.lcm(vx.denominator, vy.denominator)
+        a, b = vx.numerator * (q // vx.denominator), vy.numerator * (q // vy.denominator)
+        pa, pb = [1], [1]
+        for _ in range(d):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+        along = [0] * (d + 1)
+        for i, j, cf in terms:
+            along[i + j] += cf * pa[i] * pb[j]
+        along = UnivarPoly([x * q ** (d - k) for k, x in enumerate(along)])
+        squares.append(_root_bound(along) ** 2 * (vx * vx + vy * vy))
     bound = max(squares)
     radius = Fraction(1)
     while radius * radius <= bound:

@@ -2,6 +2,12 @@
 counts: intersects the curve with circles of geometrically growing radius,
 tracks the intersection angles and extrapolates their limits.
 
+Each circle is scanned level by level: a uniform grid over the whole circle,
+then up to three levels of finer scans of the event windows the level above
+found.  A level is one batch of numpy operations over all of its windows (in
+chunks of _BATCH windows); only the bisections and extremum searches that
+settle the windows no level refines run point by point.
+
 Advisory only — the exact pipeline is authoritative; this module exists to
 cross-validate it and deliberately shares none of its machinery.  numpy is
 imported by the scans that use it, so only the `check` command pays for it.
@@ -16,6 +22,7 @@ from .poly import BivarPoly
 
 _TWO_PI = 2.0 * math.pi
 _SUBSCAN = 512    # samples per refinement window
+_BATCH = 32       # windows rescanned together: 32 * 512 samples, the default top grid
 _MAX_DEPTH = 3    # nested refinement levels
 _MIN_WIDTH = 1e-11  # do not refine windows narrower than this (radians)
 
@@ -37,6 +44,14 @@ class OracleConfig:
             raise ValueError("degenerate sampling schedule")
         if self.stability_window < 2:
             raise ValueError("stability_window must be at least 2")
+        for e in self.radii_exponents:
+            try:
+                finite = math.isfinite(2.0 ** e)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"radius exponent {e} is too large: "
+                                 f"2^{e} is not a finite float")
 
 
 @dataclass(frozen=True)
@@ -56,11 +71,12 @@ def _scaled_evaluator(f: BivarPoly):
 
     `ev(radius, cos_t, sin_t)` evaluates the form by Horner's rule in sin over
     Horner's rule in cos, with coefficients c_ij * R^(i+j-deg) formed once per
-    call.  Grid scans pass numpy arrays and get an array; a single point passes
-    1-tuples, e.g. `ev(r, (math.cos(t),), (math.sin(t),))`, and gets a float
-    from the same Horner code run on Python floats, with no numpy call.  Both
-    paths round identically, so a point and the same point of a grid agree
-    bitwise.
+    radius: the table of the last radius is kept for the next call.  Scans
+    pass numpy arrays of any shape (a batch of windows is rows x samples) and
+    get an array of that shape; a single point passes 1-tuples, e.g.
+    `ev(r, (math.cos(t),), (math.sin(t),))`, and gets a float from the same
+    Horner code run on Python floats, with no numpy call.  Both paths round
+    identically, so a point and the same point of a grid agree bitwise.
 
     Rounding: each term c_ij cos^i sin^j passes through at most 2*deg + 2
     roundings, so with |cos|, |sin| <= 1 the computed value is within
@@ -81,17 +97,28 @@ def _scaled_evaluator(f: BivarPoly):
         row.extend([(0.0, 0)] * (i + 1 - len(row)))
         row[i] = (c, d - i - j)
     table = [row[::-1] for row in reversed(table)]  # highest powers first
+    # (radius, table with c_ij * R^(i+j-deg) in place of c_ij, None for 0)
+    scaled: tuple[float | None, list[list[float | None]]] = (None, [])
 
     def ev(radius: float, cos_t, sin_t):
-        inv = [radius ** float(-k) for k in range(d + 1)]  # inv[k] = R^-k
+        nonlocal scaled
+        at, rows = scaled
+        if at != radius:
+            inv = [radius ** float(-k) for k in range(d + 1)]  # inv[k] = R^-k
+            rows = [[c * inv[k] if c else None for c, k in row] for row in table]
+            scaled = (radius, rows)
         if isinstance(cos_t, tuple):  # one point: Python floats
             cos_t, sin_t = cos_t[0], sin_t[0]
+        # in place on arrays, rebinding on floats: the same roundings
         acc = 0.0
-        for row in table:
+        for row in rows:
             inner = 0.0
-            for c, k in row:
-                inner = inner * cos_t + c * inv[k] if c else inner * cos_t
-            acc = acc * sin_t + inner
+            for c in row:
+                inner *= cos_t
+                if c is not None:
+                    inner += c
+            acc *= sin_t
+            acc += inner
         return acc
 
     def scale(radius: float) -> float:
@@ -117,13 +144,21 @@ def _bisect_bracket(ev, radius: float, lo: float, hi: float, flo: float) -> floa
 
 def _refine_extremum(ev, radius: float, lo: float, hi: float,
                      s: float) -> tuple[float, float]:
-    """Ternary-search the minimum of s*f over a window."""
+    """Ternary-search the minimum of s*f over a window, for at most 80 steps.
+
+    The search stops early at its floating fixed point: a step whose end
+    point equals the one it replaces leaves the state as it was, so every
+    later step would repeat it."""
     for _ in range(80):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         if s * _ev_at(ev, radius, m1) < s * _ev_at(ev, radius, m2):
+            if hi == m2:
+                break
             hi = m2
         else:
+            if lo == m1:
+                break
             lo = m1
     mid = 0.5 * (lo + hi)
     return mid, _ev_at(ev, radius, mid)
@@ -141,103 +176,140 @@ def _probe_even_event(ev, radius: float, lo: float, hi: float, s: float,
         out.extend([t_ext, t_ext])
 
 
-def _sign_windows(sgn: np.ndarray) -> set[tuple[int, int]]:
-    """Pairs (a, b) of consecutive nonzero samples of a +1/0/-1 array that
-    enclose a zero run or a sign change.  Zeros before the first and after the
-    last nonzero sample sit at a window edge and belong to the parent scan."""
+def _sign_windows(sgn):
+    """The pairs (a, b) of consecutive nonzero samples in one row of a 2-D
+    +1/0/-1 array that enclose a zero run or a sign change, as index arrays
+    (row, a, b).  Zeros before the first and after the last nonzero sample of
+    a row sit at a window edge and belong to the parent scan."""
     import numpy as np
 
-    nz = np.flatnonzero(sgn)
-    a, b = nz[:-1], nz[1:]
-    keep = (b > a + 1) | (sgn[a] != sgn[b])
-    return set(zip(a[keep].tolist(), b[keep].tolist()))
+    rows, k = np.nonzero(sgn[:, 1:] != sgn[:, :-1])
+    left, right = sgn[rows, k], sgn[rows, k + 1]
+    flips = (left != 0) & (right != 0)
+    # a zero run opened at k is closed by the next change in its row
+    opens = np.flatnonzero((left[:-1] != 0) & (right[:-1] == 0)
+                           & (rows[:-1] == rows[1:]))
+    return (np.concatenate([rows[flips], rows[opens]]),
+            np.concatenate([k[flips], k[opens]]),
+            np.concatenate([k[flips] + 1, k[opens + 1] + 1]))
 
 
-def _scan(ev, radius: float, lo: float, hi: float, n: int, depth: int,
-          scale: float, deg: int, out: list[float], wrap: bool) -> None:
-    """Sample f over [lo, hi] and locate its zeros on the circle.
+def _event_windows(theta, vals, noise: float, dip_tol):
+    """The event windows of a batch of scans, one scan per row of the
+    samples `theta` and their values `vals`, as arrays (lo, hi, f(lo), f(hi)).
 
     Samples are classified +/-/0 against the evaluation noise floor; maximal
-    zero runs and sign changes become event windows, and local minima of |f|
-    below the Bernstein bound for a hidden double zero open even-event windows
-    on their same-sign sides.  While depth remains and the window edges are
-    decisively above the noise floor, event windows are re-scanned at finer
-    resolution so nearly coincident crossings separate; at the bottom,
-    sign-change windows are bisected and sign-constant ones go through the
-    even-event probe.
+    zero runs and sign changes become windows.  Local minima of |f| below the
+    row's `dip_tol`, the Bernstein bound for a hidden double zero, open
+    windows on their same-sign sides; a pair straddling the sample itself
+    would have flipped its sign and is already a pair of crossings.  The
+    last sample of a row only closes windows, and a dip at the first has no
+    left neighbour.
     """
     import numpy as np
 
-    step = (hi - lo) / n
-    theta = np.linspace(lo, hi, n, endpoint=False)
-    vals = ev(radius, np.cos(theta), np.sin(theta))
-    noise = 1e-15 * scale
+    sgn = (vals > noise).view(np.int8) - (vals < -noise).view(np.int8)
+    rows, a, b = _sign_windows(sgn)
+    absv = np.abs(vals)
+    r, k = np.nonzero((absv[:, :-1] > noise) & (absv[:, :-1] < dip_tol[:, None]))
+    v = absv[r, k]
+    dip = (v <= absv[r, k + 1]) & ((k == 0) | (v <= absv[r, k - 1]))
+    r, k = r[dip], k[dip]
+    s = sgn[r, k]
+    to_left = (k > 0) & (sgn[r, k - 1] == s)
+    to_right = sgn[r, k + 1] == s
+    # marked by left end, so two adjacent equal dips open their window once
+    opens = np.zeros(vals.shape, dtype=bool)
+    opens[r[to_left], k[to_left] - 1] = True
+    opens[r[to_right], k[to_right]] = True
+    dip_rows, left = np.nonzero(opens)
+    rows = np.concatenate([rows, dip_rows])
+    a = np.concatenate([a, left])
+    b = np.concatenate([b, left + 1])
+    return theta[rows, a], theta[rows, b], vals[rows, a], vals[rows, b]
 
-    if wrap:
-        nonzero = np.flatnonzero(np.abs(vals) > noise)
-        if not len(nonzero):
-            return  # the whole circle sits at the noise floor: undecidable
-        shift = int(nonzero[0])
-        theta = np.concatenate([theta[shift:], theta[:shift] + (hi - lo)])
-        vals = np.concatenate([vals[shift:], vals[:shift]])
-        theta = np.append(theta, theta[0] + (hi - lo))
-        vals = np.append(vals, vals[0])
-    else:
-        theta = np.append(theta, hi)
-        vals = np.append(vals, _ev_at(ev, radius, hi))
 
-    sgn = np.where(vals > noise, 1, np.where(vals < -noise, -1, 0))
-    m = len(vals)
-    # refining below the cancellation-noise floor only manufactures sign
-    # flicker; windows whose edge values are not comfortably decisive get one
-    # plain bisection (or probe) instead of a rescan
-    decisive = 100.0 * noise
+def _settle(ev, radius: float, windows, depth: int, noise: float,
+            out: list[float]):
+    """Split the event windows of one level: return (lo, hi) of those to
+    rescan at the next level, and settle the rest into `out`.
 
-    def emit_window(kl: int, kr: int) -> None:
-        wlo, whi = float(theta[kl]), float(theta[kr])
-        vlo, vhi = float(vals[kl]), float(vals[kr])
-        refinable = (depth > 0 and whi - wlo > _MIN_WIDTH
-                     and max(abs(vlo), abs(vhi)) > decisive)
+    Refining below the cancellation-noise floor only manufactures sign
+    flicker, so a window is rescanned only while depth remains, it is wider
+    than _MIN_WIDTH and an edge value is decisively above the noise floor.
+    Any other window with a sign change is bisected, and a sign-constant one
+    goes through the even-event probe."""
+    import numpy as np
+
+    lo, hi, flo, fhi = windows
+    rescan = ((depth > 0) & (hi - lo > _MIN_WIDTH)
+              & (np.maximum(np.abs(flo), np.abs(fhi)) > 100.0 * noise))
+    settle = ~rescan
+    for wlo, whi, vlo, vhi in zip(lo[settle].tolist(), hi[settle].tolist(),
+                                  flo[settle].tolist(), fhi[settle].tolist()):
         if (vlo > 0) != (vhi > 0):
-            if refinable:
-                _scan(ev, radius, wlo, whi, _SUBSCAN, depth - 1, scale, deg,
-                      out, wrap=False)
-            else:
-                out.append(_bisect_bracket(ev, radius, wlo, whi, vlo))
-        elif refinable:
-            _scan(ev, radius, wlo, whi, _SUBSCAN, depth - 1, scale, deg,
-                  out, wrap=False)
+            out.append(_bisect_bracket(ev, radius, wlo, whi, vlo))
         else:
             _probe_even_event(ev, radius, wlo, whi, 1.0 if vlo > 0 else -1.0,
                               noise, out)
-
-    windows = _sign_windows(sgn)
-
-    # local minima of |f| below the hidden-double-zero bound (Bernstein:
-    # |f''| <= deg^2 * scale on the circle) open even-event windows on their
-    # same-sign sides; a pair straddling the sample itself would have flipped
-    # its sign and is already a pair of crossings above
-    dip_tol = max(2.0 * deg * deg * scale * step * step, 1e-300)
-    absv = np.abs(vals[:-1])
-    prv = np.append(np.inf, absv[:-1])
-    nxt_a = np.append(absv[1:], abs(vals[-1]))
-    is_dip = (absv <= prv) & (absv <= nxt_a) & (absv > noise) & (absv < dip_tol)
-    for k in np.flatnonzero(is_dip):
-        k = int(k)
-        if k > 0 and sgn[k - 1] == sgn[k]:
-            windows.add((k - 1, k))
-        if k < m - 1 and sgn[k + 1] == sgn[k]:
-            windows.add((k, k + 1))
-
-    for kl, kr in sorted(windows):
-        emit_window(kl, kr)
+    return lo[rescan], hi[rescan]
 
 
-def _intersection_angles(ev, radius: float, grid: int, scale: float,
+def _circle_grid(n: int):
+    """The top scan's n angles, uniform on [0, 2*pi), with their cosines and
+    sines; the same for every radius."""
+    import numpy as np
+
+    theta = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+    return theta, np.cos(theta), np.sin(theta)
+
+
+def _intersection_angles(ev, radius: float, grid, scale: float,
                          deg: int) -> list[float]:
-    """Angles in [0, 2*pi) where the curve meets the circle of this radius."""
+    """Angles in [0, 2*pi) where the curve meets the circle of this radius.
+
+    `grid` is `_circle_grid(n)`.  The top scan starts the circle at its first
+    sample above the noise floor and closes it there.  Each window a level
+    rescans gets _SUBSCAN samples, the last at its right end point evaluated
+    with math.cos and math.sin.  The dip bound of a scan with sample step h
+    is 2 * deg^2 * scale * h^2 (Bernstein: |f''| <= deg^2 * scale on the
+    circle).
+    """
+    import numpy as np
+
+    theta, cos_t, sin_t = grid
+    noise = 1e-15 * scale
+    bernstein = 2.0 * deg * deg * scale
+    vals = ev(radius, cos_t, sin_t)
+    nonzero = np.flatnonzero(np.abs(vals) > noise)
+    if not len(nonzero):
+        return []  # the whole circle sits at the noise floor: undecidable
+    shift = int(nonzero[0])
+    theta = np.concatenate([theta[shift:], theta[:shift + 1] + _TWO_PI])
+    vals = np.concatenate([vals[shift:], vals[:shift + 1]])
+    step = _TWO_PI / len(cos_t)
+    dip_tol = np.array([max(bernstein * step * step, 1e-300)])
     out: list[float] = []
-    _scan(ev, radius, 0.0, _TWO_PI, grid, _MAX_DEPTH, scale, deg, out, wrap=True)
+    windows = _event_windows(theta[None], vals[None], noise, dip_tol)
+    lo, hi = _settle(ev, radius, windows, _MAX_DEPTH, noise, out)
+    for depth in range(_MAX_DEPTH - 1, -1, -1):
+        rescan_lo, rescan_hi = [], []
+        for k in range(0, len(lo), _BATCH):
+            blo, bhi = lo[k:k + _BATCH], hi[k:k + _BATCH]
+            theta = np.linspace(blo, bhi, _SUBSCAN, endpoint=False, axis=1)
+            vals = ev(radius, np.cos(theta), np.sin(theta))
+            ends = [_ev_at(ev, radius, t) for t in bhi.tolist()]
+            theta = np.column_stack([theta, bhi])
+            vals = np.column_stack([vals, ends])
+            step = (bhi - blo) / _SUBSCAN
+            dip_tol = np.maximum(bernstein * step * step, 1e-300)
+            windows = _event_windows(theta, vals, noise, dip_tol)
+            nlo, nhi = _settle(ev, radius, windows, depth, noise, out)
+            rescan_lo.append(nlo)
+            rescan_hi.append(nhi)
+        if not rescan_lo:
+            break
+        lo, hi = np.concatenate(rescan_lo), np.concatenate(rescan_hi)
     return sorted(a % _TWO_PI for a in out)
 
 
@@ -313,10 +385,11 @@ def oracle_k(f: BivarPoly, cfg: OracleConfig | None = None) -> OracleReport:
     ev, scale = _scaled_evaluator(f)
 
     radii = [2.0 ** e for e in cfg.radii_exponents]
+    grid = _circle_grid(cfg.angular_grid)
     per_radius: list[list[float]] = []
     samples: list[tuple[float, float, float, float]] = []
     for radius in radii:
-        angles = _intersection_angles(ev, radius, cfg.angular_grid, scale(radius), f.degree)
+        angles = _intersection_angles(ev, radius, grid, scale(radius), f.degree)
         samples.extend(
             (radius, a, radius * math.cos(a), radius * math.sin(a)) for a in angles
         )

@@ -91,6 +91,14 @@ def test_check_agrees(capsys):
     assert code == 0 and "(1, 3)" in out
 
 
+def test_check_radius_beyond_float_range_exits_1(capsys):
+    # 2^1100 overflows a float: a one-line error, not an OverflowError
+    code, out, err = run(capsys, "check", "--radius-max", "1100", "y^2 - x^3")
+    assert code == 1 and not out
+    assert err.startswith("error:") and "1024" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_check_reduces_repeated_factors(capsys):
     # the doubled line must not read as a persistent tangency to the oracle
     code, out, _ = run(capsys, "check", "(y-x)^2*(y+x)")

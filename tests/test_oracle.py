@@ -4,11 +4,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bsinf.oracle as oracle
 from bsinf.invariant import k_at_infinity
-from bsinf.oracle import OracleConfig, _scaled_evaluator, _sign_windows, oracle_k
+from bsinf.oracle import (
+    OracleConfig,
+    _bisect_bracket,
+    _circle_grid,
+    _ev_at,
+    _event_windows,
+    _intersection_angles,
+    _probe_even_event,
+    _refine_extremum,
+    _scaled_evaluator,
+    _sign_windows,
+    oracle_k,
+)
 from bsinf.parsing import parse_poly
 from bsinf.poly import BivarPoly
 
@@ -86,6 +99,13 @@ def test_unstable_flag_with_short_schedule():
     assert not rep.stable or counts_of(rep) == (1, 1)
 
 
+def test_radius_beyond_float_range_rejected():
+    assert OracleConfig(radii_exponents=(4, 1023)).radii_exponents[-1] == 1023
+    for exponents in ((4, 1024), (2000,), (4, 5, 1100)):
+        with pytest.raises(ValueError, match="not a finite float"):
+            OracleConfig(radii_exponents=exponents)
+
+
 def test_constant_rejected():
     from bsinf.poly import BivarPoly
 
@@ -111,19 +131,23 @@ def _bits(v: float) -> bytes:
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_integer_polys(), st.integers(4, 20),
-       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=6))
-def test_ev_grid_and_point_agree_within_horner_bound(f, exponent, angles):
-    """One Horner code path: an array call and 1-tuple calls at the same float
-    cos/sin agree bitwise, within (2d + 2) * 2^-52 * scale(R) of the exact
-    value of f(R cos, R sin) / R^d."""
+@given(small_integer_polys(), st.integers(4, 20), st.integers(1, 3),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4))
+def test_ev_grid_and_point_agree_within_horner_bound(f, exponent, rows, angles):
+    """One Horner code path: a rows x samples array call and 1-tuple calls at
+    the same float cos/sin agree bitwise, within (2d + 2) * 2^-52 * scale(R)
+    of the exact value of f(R cos, R sin) / R^d, also after a call at another
+    radius has replaced the table of scaled coefficients."""
     ev, scale = _scaled_evaluator(f)
     radius = 2.0 ** exponent
     d = f.degree
-    cos_t, sin_t = np.cos(np.array(angles)), np.sin(np.array(angles))
+    theta = np.array([[a + 0.25 * r for a in angles] for r in range(rows)])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     grid = ev(radius, cos_t, sin_t)
+    assert grid.shape == theta.shape
+    ev(2.0 * radius, cos_t, sin_t)
     bound = Fraction((2 * d + 2) * 2.0 ** -52 * scale(radius))
-    for c, s, g in zip(cos_t.tolist(), sin_t.tolist(), grid.tolist()):
+    for c, s, g in zip(cos_t.ravel().tolist(), sin_t.ravel().tolist(), grid.ravel().tolist()):
         point = ev(radius, (c,), (s,))
         assert type(point) is float
         assert _bits(point) == _bits(g)
@@ -153,7 +177,149 @@ def _loop_windows(sgn) -> set[tuple[int, int]]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from((-1, 0, 1)), st.integers(1, 6)), max_size=30))
-def test_sign_windows_match_loop(runs):
-    sgn = np.array([v for v, n in runs for _ in range(n)], dtype=np.int64)
-    assert _sign_windows(sgn) == _loop_windows(sgn)
+@given(st.lists(st.lists(st.tuples(st.sampled_from((-1, 0, 1)), st.integers(1, 6)),
+                         max_size=30), min_size=1, max_size=4))
+def test_sign_windows_match_loop(table):
+    # rows of one batch, padded with zeros: trailing zeros open no window
+    rows = [[v for v, n in runs for _ in range(n)] for runs in table]
+    width = max(len(r) for r in rows)
+    sgn = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.int8)
+    sgn = sgn.reshape(len(rows), width)
+    found: dict[int, set[tuple[int, int]]] = {r: set() for r in range(len(rows))}
+    for r, a, b in zip(*(x.tolist() for x in _sign_windows(sgn))):
+        assert (a, b) not in found[r]
+        found[r].add((a, b))
+    for r in range(len(rows)):
+        assert found[r] == _loop_windows(sgn[r])
+
+
+def _loop_event_windows(vals, noise, dip_tol) -> set[tuple[int, int]]:
+    """Reference: the event windows of one scan, as the recursive scan chose
+    them, one dip at a time."""
+    sgn = np.where(vals > noise, 1, np.where(vals < -noise, -1, 0))
+    windows = _loop_windows(sgn)
+    m = len(vals)
+    absv = np.abs(vals[:-1])
+    prv = np.append(np.inf, absv[:-1])
+    nxt_a = np.append(absv[1:], abs(vals[-1]))
+    is_dip = (absv <= prv) & (absv <= nxt_a) & (absv > noise) & (absv < dip_tol)
+    for k in np.flatnonzero(is_dip):
+        k = int(k)
+        if k > 0 and sgn[k - 1] == sgn[k]:
+            windows.add((k - 1, k))
+        if k < m - 1 and sgn[k + 1] == sgn[k]:
+            windows.add((k, k + 1))
+    return windows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 24), st.data())
+def test_event_windows_match_loop(rows, width, data):
+    """Small integer values, so zero runs, sign changes and equal neighbouring
+    dips are common; each window comes once."""
+    noise, dip_tols = 0.5, data.draw(st.lists(st.sampled_from((0.5, 1.5, 2.5, 9.0)),
+                                              min_size=rows, max_size=rows))
+    cells = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    vals = np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=float)
+    theta = np.arange(vals.size, dtype=float).reshape(vals.shape)  # cell labels
+    lo, hi, flo, fhi = _event_windows(theta, vals, noise, np.array(dip_tols))
+    got = sorted(zip(lo.tolist(), hi.tolist()))
+    expected = sorted((r * width + a, r * width + b) for r in range(rows)
+                      for a, b in _loop_event_windows(vals[r], noise, dip_tols[r]))
+    assert got == expected
+    assert flo.tolist() == vals.ravel()[lo.astype(int)].tolist()
+    assert fhi.tolist() == vals.ravel()[hi.astype(int)].tolist()
+
+
+def _scan(ev, radius, lo, hi, n, depth, scale, deg, out, wrap):
+    """Reference: the recursive scan that the level-by-level batches replaced,
+    one window at a time."""
+    step = (hi - lo) / n
+    theta = np.linspace(lo, hi, n, endpoint=False)
+    vals = ev(radius, np.cos(theta), np.sin(theta))
+    noise = 1e-15 * scale
+
+    if wrap:
+        nonzero = np.flatnonzero(np.abs(vals) > noise)
+        if not len(nonzero):
+            return
+        shift = int(nonzero[0])
+        theta = np.concatenate([theta[shift:], theta[:shift] + (hi - lo)])
+        vals = np.concatenate([vals[shift:], vals[:shift]])
+        theta = np.append(theta, theta[0] + (hi - lo))
+        vals = np.append(vals, vals[0])
+    else:
+        theta = np.append(theta, hi)
+        vals = np.append(vals, _ev_at(ev, radius, hi))
+
+    dip_tol = max(2.0 * deg * deg * scale * step * step, 1e-300)
+    for kl, kr in sorted(_loop_event_windows(vals, noise, dip_tol)):
+        wlo, whi = float(theta[kl]), float(theta[kr])
+        vlo, vhi = float(vals[kl]), float(vals[kr])
+        if (depth > 0 and whi - wlo > oracle._MIN_WIDTH
+                and max(abs(vlo), abs(vhi)) > 100.0 * noise):
+            _scan(ev, radius, wlo, whi, oracle._SUBSCAN, depth - 1, scale, deg,
+                  out, wrap=False)
+        elif (vlo > 0) != (vhi > 0):
+            out.append(_bisect_bracket(ev, radius, wlo, whi, vlo))
+        else:
+            _probe_even_event(ev, radius, wlo, whi, 1.0 if vlo > 0 else -1.0,
+                              noise, out)
+
+
+CUSP = parse_poly("y^2 - x^3")
+LINE_PARABOLA = parse_poly("((y-x) - 1)*((y-x)^2 - (y+x))")
+TANGENT = parse_poly("25*(x^2 + y^2 - 256) + (3*x + 4*y - 80)^2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_integer_polys(), st.integers(4, 20), st.sampled_from((64, 512, 2 ** 12)),
+       st.sampled_from((1, 3, 32)))
+@example(CUSP, 8, 2 ** 12, 1)
+@example(LINE_PARABOLA, 12, 64, 3)
+@example(parse_poly("(y-x-1)*(y-x-2)"), 20, 2 ** 12, 32)
+# tangent to the circle of radius 16 at (48, 64)/5, then lifted and lowered
+# off it: dips that the levels below the top grid resolve
+@example(TANGENT, 4, 2 ** 12, 1)
+@example(TANGENT + BivarPoly.constant(Fraction(1, 1000)), 4, 2 ** 12, 1)
+@example(TANGENT - BivarPoly.constant(Fraction(1, 1000)), 4, 2 ** 12, 3)
+def test_intersection_angles_match_recursive_scan(f, exponent, grid, batch):
+    """The batched levels find bitwise the angles of the recursive scan, in
+    batches of any size."""
+    ev, scale = _scaled_evaluator(f)
+    radius = 2.0 ** exponent
+    expected: list[float] = []
+    _scan(ev, radius, 0.0, 2.0 * math.pi, grid, oracle._MAX_DEPTH, scale(radius),
+          f.degree, expected, wrap=True)
+    expected = sorted(a % (2.0 * math.pi) for a in expected)
+    saved = oracle._BATCH
+    oracle._BATCH = batch
+    try:
+        got = _intersection_angles(ev, radius, _circle_grid(grid), scale(radius), f.degree)
+    finally:
+        oracle._BATCH = saved
+    assert list(map(_bits, got)) == list(map(_bits, expected))
+
+
+def _refine_extremum_80(ev, radius, lo, hi, s):
+    """Reference: the ternary search with all 80 steps."""
+    for _ in range(80):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if s * _ev_at(ev, radius, m1) < s * _ev_at(ev, radius, m2):
+            hi = m2
+        else:
+            lo = m1
+    mid = 0.5 * (lo + hi)
+    return mid, _ev_at(ev, radius, mid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_polys(), st.integers(4, 20), st.floats(0.0, 4.0 * math.pi),
+       st.floats(1e-13, 1.0), st.sampled_from((1.0, -1.0)))
+def test_refine_extremum_stops_at_its_fixed_point(f, exponent, lo, width, s):
+    ev, _ = _scaled_evaluator(f)
+    radius = 2.0 ** exponent
+    got = _refine_extremum(ev, radius, lo, lo + width, s)
+    expected = _refine_extremum_80(ev, radius, lo, lo + width, s)
+    assert tuple(map(_bits, got)) == tuple(map(_bits, expected))
