@@ -98,7 +98,7 @@ def render_report(report: InfinityReport, quiet: bool = False) -> str:
 
 def _cmd_invariant(args) -> int:
     f = _read_curve_arg(args.curve)
-    eps = Fraction(args.epsilon) if args.epsilon else None
+    eps = Fraction(args.epsilon) if args.epsilon is not None else None
     report = k_at_infinity(f, epsilon_override=eps)
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2))

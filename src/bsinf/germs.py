@@ -113,20 +113,32 @@ def circle_sectors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> Sectors:
     return Sectors((c, s), separators, tuple(labels))
 
 
+def _integer_rotation(sectors: Sectors) -> tuple[int, int, int]:
+    """(a, b, q) with q > 0 and the rotation (c, s) = (a, b)/q."""
+    c, s = sectors.rotation
+    q = math.lcm(c.denominator, s.denominator)
+    return c.numerator * (q // c.denominator), s.numerator * (q // s.denominator), q
+
+
 # ---------------------------------------------------------------------------
 # counting on one circle
 # ---------------------------------------------------------------------------
 
-def _restriction(g: BivarPoly, radius: Fraction, sectors: Sectors) -> UnivarPoly:
-    """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius."""
-    c, s = sectors.rotation
-    x = UnivarPoly([c, -2 * s, -c]).scale(radius)
-    y = UnivarPoly([s, 2 * c, -s]).scale(radius)
-    w = UnivarPoly([1, 0, 1])
+def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> UnivarPoly:
+    """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius, times the
+    positive constant q^deg g that clears the denominators q of the rotation
+    and the radius: with them, p(t) = (X(t), Y(t))/(q*(1 + t^2)) for integer
+    polynomials X, Y.  A positive factor changes no sign, so no root, Sturm
+    count or sector count."""
+    a, b, q = _integer_rotation(sectors)
+    a, b, q = a * radius.numerator, b * radius.numerator, q * radius.denominator
+    x = UnivarPoly([a, -2 * b, -a])
+    y = UnivarPoly([b, 2 * a, -b])
+    w = UnivarPoly([q, 0, q])
     x_pows = [UnivarPoly.constant(1)]
     for _ in range(g.degree):
         x_pows.append(x_pows[-1] * x)
-    parts: dict[int, dict[int, Fraction]] = {}
+    parts: dict[int, dict[int, int | Fraction]] = {}
     for (i, j), cf in g.items():
         parts.setdefault(i + j, {})[j] = cf
     acc = UnivarPoly()
@@ -147,7 +159,7 @@ def _variations_at_infinity(chain: list[UnivarPoly], side: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _signed_counts(g: BivarPoly, radius: Fraction, sectors: Sectors) -> list[int]:
+def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
     """Points of {g = 0} on the circle of the given radius, per sector.
 
     Raises NonTransverseCircleError when the circle is a component of
@@ -189,28 +201,32 @@ def _root_bound(p: UnivarPoly) -> Fraction:
     if p.degree <= 0:
         return Fraction(0)
     lead = abs(p.leading())
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), lead)
 
 
-def _certified_bound(u: BivarPoly, sectors: Sectors) -> Fraction:
+def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
     """The certified radius R of a counted irreducible u: the first power of
     2 whose square exceeds Bx^2 + By^2 and the squared radius bound of the
     points of u on each separator ray (see the module docstring)."""
     h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
     squares = [_root_bound(_elim(u, h, "y")) ** 2 + _root_bound(_elim(u, h, "x")) ** 2]
-    c, s = sectors.rotation
-    rays = [(c * (1 - t * t) - 2 * s * t, s * (1 - t * t) + 2 * c * t)
-            for t in sectors.separators]
+    # each ray direction v = (a, b)/q in integers: M(1 - t^2, 2t) for the
+    # separators t = n/m, over the rotation's denominator times m^2, and
+    # -M(1, 0) for t = oo
+    rc, rs, rq = _integer_rotation(sectors)
+    rays = [(-rc, -rs, rq)]
+    for t in sectors.separators:
+        n, m = t.numerator, t.denominator
+        e = m * m - n * n
+        rays.append((rc * e - 2 * rs * n * m, rs * e + 2 * rc * n * m, rq * m * m))
     # u(s*v) as a polynomial in s, times the positive constant den * q^deg u
     # (which leaves the root bound as it is) so that it is in integers:
-    # with u = U/den and v = (a, b)/q its s^k coefficient is A_k * q^(deg - k),
-    # A_k the sum of U_ij * a^i * b^j over i + j = k
+    # with u = U/den its s^k coefficient is A_k * q^(deg - k), A_k the sum of
+    # U_ij * a^i * b^j over i + j = k
     d = u.degree
     den = math.lcm(*(cf.denominator for _, cf in u.items()))
     terms = [(i, j, int(cf * den)) for (i, j), cf in u.items()]
-    for vx, vy in rays + [(-c, -s)]:
-        q = math.lcm(vx.denominator, vy.denominator)
-        a, b = vx.numerator * (q // vx.denominator), vy.numerator * (q // vy.denominator)
+    for a, b, q in rays:
         pa, pb = [1], [1]
         for _ in range(d):
             pa.append(pa[-1] * a)
@@ -219,9 +235,9 @@ def _certified_bound(u: BivarPoly, sectors: Sectors) -> Fraction:
         for i, j, cf in terms:
             along[i + j] += cf * pa[i] * pb[j]
         along = UnivarPoly([x * q ** (d - k) for k, x in enumerate(along)])
-        squares.append(_root_bound(along) ** 2 * (vx * vx + vy * vy))
+        squares.append(_root_bound(along) ** 2 * Fraction(a * a + b * b, q * q))
     bound = max(squares)
-    radius = Fraction(1)
+    radius = 1
     while radius * radius <= bound:
         radius *= 2
     return radius
@@ -248,6 +264,10 @@ def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
     With epsilon, the whole curve is counted on the circle of radius
     1/epsilon instead, and the counts are not certified.
     """
+    if epsilon is not None:
+        epsilon = Fraction(epsilon)
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
     if not points:
         return []
     sectors = circle_sectors(f, points)
@@ -255,9 +275,6 @@ def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
         per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
                                                 for u in counted_factors(f, points)))]
     else:
-        epsilon = Fraction(epsilon)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         per_sector = _signed_counts(f, 1 / epsilon, sectors)
     counts = {p: [0, 0] for p in points}
     for (point, side), n in zip(sectors.labels, per_sector):

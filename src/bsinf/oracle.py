@@ -29,10 +29,10 @@ _MIN_WIDTH = 1e-11  # do not refine windows narrower than this (radians)
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling schedule: circle radii 2^k for k in radii_exponents, an angular
-    grid per circle, an angle tolerance for clustering intersections and the
-    number of consecutive radii with identical cluster counts required for
-    stability."""
+    """Sampling schedule: circle radii 2^k for k >= 0 in radii_exponents, an
+    angular grid per circle, an angle tolerance for clustering intersections
+    and the number of consecutive radii with identical cluster counts required
+    for stability."""
 
     radii_exponents: tuple[int, ...] = tuple(range(4, 21))
     angular_grid: int = 2 ** 14
@@ -45,6 +45,9 @@ class OracleConfig:
         if self.stability_window < 2:
             raise ValueError("stability_window must be at least 2")
         for e in self.radii_exponents:
+            if e < 0:
+                raise ValueError(f"radius exponent {e} is negative: a radius below 1 "
+                                 f"says nothing about the curve at infinity")
             try:
                 finite = math.isfinite(2.0 ** e)
             except OverflowError:

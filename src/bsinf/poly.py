@@ -2,10 +2,14 @@
 over the rationals, canonical printing, the irreducible factor split,
 squarefree parts and resultants.
 
-All coefficients are `fractions.Fraction`; no floating point enters this module.
-Printing and sign normalization use graded-lexicographic order (total degree,
-then exponent of the first variable).  sympy is imported only to factor what
-is neither a product nor a line or a nondegenerate conic.
+A coefficient is stored as an `int` when it is integral and as a
+`fractions.Fraction` otherwise, so integer polynomials, the common case, run
+on integer arithmetic alone.  `3 == Fraction(3)` and
+`hash(3) == hash(Fraction(3))`, so equality, hashing and caching do not see
+the difference.  Every division is exact; no floating point enters this
+module.  Printing and sign normalization use graded-lexicographic order
+(total degree, then exponent of the first variable).  sympy is imported
+only to factor what is neither a product nor a line or a nondegenerate conic.
 """
 
 from __future__ import annotations
@@ -18,12 +22,25 @@ from typing import Iterable, Iterator, Mapping
 from .errors import DegenerateEliminationError, DegreeZeroError, ZeroPolynomialError
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _rational(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected rational coefficient, got {type(c).__name__}")
+
+
+def _primitive_ints(coeffs: Iterable[int | Fraction]) -> list[int]:
+    """The coefficients, not all zero, times the positive rational that makes
+    them coprime integers."""
+    coeffs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -31,19 +48,20 @@ def _as_fraction(c) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class UnivarPoly:
-    """Dense univariate polynomial; coeffs[k] is the coefficient of t^k."""
+    """Dense univariate polynomial; coeffs[k] is the coefficient of t^k, an
+    int when it is integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
+        cs = [_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
 
     @classmethod
     def constant(cls, c) -> UnivarPoly:
-        return cls([_as_fraction(c)])
+        return cls([c])
 
     @property
     def degree(self) -> int:
@@ -56,7 +74,7 @@ class UnivarPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def leading(self) -> Fraction:
+    def leading(self) -> int | Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -86,7 +104,7 @@ class UnivarPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UnivarPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -95,7 +113,7 @@ class UnivarPoly:
         return UnivarPoly(out)
 
     def scale(self, c) -> UnivarPoly:
-        c = _as_fraction(c)
+        c = _rational(c)
         return UnivarPoly([c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> UnivarPoly:
@@ -115,12 +133,12 @@ class UnivarPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
         lc = other.leading()
         while len(rem) - 1 >= d and rem:
             k = len(rem) - 1 - d
-            factor = rem[-1] / lc
+            factor = _rational(Fraction(rem[-1], lc))  # exact, never a float
             q[k] = factor
             for i, c in enumerate(other.coeffs):
                 rem[k + i] -= factor * c
@@ -134,9 +152,9 @@ class UnivarPoly:
     def derivative(self) -> UnivarPoly:
         return UnivarPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, t) -> Fraction:
-        t = _as_fraction(t)
-        acc = Fraction(0)
+    def __call__(self, t) -> int | Fraction:
+        t = _rational(t)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
@@ -149,13 +167,7 @@ class UnivarPoly:
         """
         if self.is_zero():
             return self
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return self.scale(Fraction(den, num))
+        return UnivarPoly(_primitive_ints(self.coeffs))
 
     def __repr__(self) -> str:
         return f"UnivarPoly({list(self.coeffs)})"
@@ -185,7 +197,8 @@ def _gradlex_key(exp: tuple[int, int]) -> tuple[int, int]:
 
 class BivarPoly:
     """Sparse bivariate polynomial: a map (i, j) -> nonzero rational coefficient
-    of x^i * y^j.  Instances are immutable; all operations return new values.
+    of x^i * y^j, an int when it is integral and a Fraction otherwise.
+    Instances are immutable; all operations return new values.
 
     A product also remembers its pieces: `a * b` keeps the distinct
     non-constant pieces of both operands, where a polynomial without pieces
@@ -198,10 +211,10 @@ class BivarPoly:
 
     __slots__ = ("_terms", "_hash", "_pieces")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction | int] = ()):
-        clean: dict[tuple[int, int], Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[int, int], int | Fraction] = ()):
+        clean: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), c in dict(terms).items():
-            c = _as_fraction(c)
+            c = _rational(c)
             if c != 0:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent")
@@ -218,23 +231,23 @@ class BivarPoly:
 
     @classmethod
     def constant(cls, c) -> BivarPoly:
-        return cls({(0, 0): _as_fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def x(cls) -> BivarPoly:
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def y(cls) -> BivarPoly:
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
 
     # -- structure -------------------------------------------------------------
 
     @property
-    def terms(self) -> dict[tuple[int, int], Fraction]:
+    def terms(self) -> dict[tuple[int, int], int | Fraction]:
         return dict(self._terms)
 
-    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    def items(self) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
         return iter(self._terms.items())
 
     def __bool__(self) -> bool:
@@ -259,7 +272,7 @@ class BivarPoly:
         k = 0 if var == "x" else 1
         return max(e[k] for e in self._terms)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         """Coefficient of the graded-lex leading term."""
         if not self._terms:
             raise ValueError("zero polynomial")
@@ -284,7 +297,7 @@ class BivarPoly:
     def __add__(self, other: BivarPoly) -> BivarPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -297,11 +310,11 @@ class BivarPoly:
     def __mul__(self, other: BivarPoly) -> BivarPoly:
         if not self._terms or not other._terms:
             return BivarPoly()
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), c in self._terms.items():
             for (k, l), d in other._terms.items():
                 e = (i + k, j + l)
-                s = out.get(e, Fraction(0)) + c * d
+                s = out.get(e, 0) + c * d
                 if s:
                     out[e] = s
                 else:
@@ -313,7 +326,7 @@ class BivarPoly:
         return product
 
     def scale(self, c) -> BivarPoly:
-        c = _as_fraction(c)
+        c = _rational(c)
         if c == 0:
             return BivarPoly()
         return BivarPoly({e: c * a for e, a in self._terms.items()})
@@ -333,17 +346,17 @@ class BivarPoly:
 
     def partial(self, var: str) -> BivarPoly:
         k = 0 if var == "x" else 1
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), c in self._terms.items():
             e = (i, j)[k]
             if e:
                 ne = (i - 1, j) if k == 0 else (i, j - 1)
-                out[ne] = out.get(ne, Fraction(0)) + e * c
+                out[ne] = out.get(ne, 0) + e * c
         return BivarPoly(out)
 
-    def evaluate(self, px, py) -> Fraction:
-        px, py = _as_fraction(px), _as_fraction(py)
-        total = Fraction(0)
+    def evaluate(self, px, py) -> int | Fraction:
+        px, py = _rational(px), _rational(py)
+        total = 0
         for (i, j), c in self._terms.items():
             total += c * px**i * py**j
         return total
@@ -370,7 +383,7 @@ class BivarPoly:
         """Coefficients as polynomials in the other variable, index = power of var."""
         k = 0 if var == "x" else 1
         n = self.deg_in(var)
-        rows: list[dict[int, Fraction]] = [{} for _ in range(n + 1)]
+        rows: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
         for (i, j), c in self._terms.items():
             e = (i, j)[k]
             o = (i, j)[1 - k]
@@ -386,13 +399,13 @@ class BivarPoly:
 
     def subs_value(self, var: str, value) -> UnivarPoly:
         """Evaluate one variable at a rational, leaving a univariate polynomial."""
-        value = _as_fraction(value)
-        out: dict[int, Fraction] = {}
+        value = _rational(value)
+        out: dict[int, int | Fraction] = {}
         k = 0 if var == "x" else 1
         for (i, j), c in self._terms.items():
             e = (i, j)[k]
             o = (i, j)[1 - k]
-            s = out.get(o, Fraction(0)) + c * value**e
+            s = out.get(o, 0) + c * value**e
             if s:
                 out[o] = s
             else:
@@ -406,13 +419,7 @@ class BivarPoly:
         """Scale so coefficients are coprime integers with positive graded-lex lead."""
         if not self._terms:
             return self
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        scaled = self.scale(Fraction(den, num))
+        scaled = BivarPoly(dict(zip(self._terms, _primitive_ints(self._terms.values()))))
         if scaled.leading_coefficient() < 0:
             scaled = -scaled
         return scaled
@@ -428,7 +435,7 @@ class BivarPoly:
 # canonical printing
 # ---------------------------------------------------------------------------
 
-def _format_monomial(c: Fraction, vars_exps: tuple[tuple[str, int], ...], leading: bool) -> str:
+def _format_monomial(c: int | Fraction, vars_exps: tuple[tuple[str, int], ...], leading: bool) -> str:
     pieces = []
     for name, e in vars_exps:
         if e == 1:
@@ -612,5 +619,6 @@ def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
             row[k] = []
         prev = top[k]
     # res(df*f, dg*g) = df^n * dg^m * res(f, g)
-    scale = Fraction(sign, df ** n * dg ** m)
-    return UnivarPoly([scale * c for c in mat[-1][-1]])
+    det = [sign * c for c in mat[-1][-1]]
+    scale = df ** n * dg ** m
+    return UnivarPoly(det if scale == 1 else [Fraction(c, scale) for c in det])

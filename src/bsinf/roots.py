@@ -35,22 +35,49 @@ class RootInterval:
         return self.high - self.low
 
 
-def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
-    """Sturm chain of the squarefree part of p, with integer coefficients.
+def _negated_pseudo_remainder(a: UnivarPoly, b: UnivarPoly) -> UnivarPoly:
+    """-|lc b|^k * (a mod b) for some k >= 0, for a and b with integer
+    coefficients: long division of a by b in which each step first scales
+    the remainder by |lc b|, so that the step's quotient coefficient is an
+    integer and no division occurs."""
+    rem, b = list(a.coeffs), b.coeffs
+    n = len(b) - 1
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while len(rem) > n:
+        k = len(rem) - 1 - n
+        top = sign * rem.pop()  # the new top, |lc b| * top - sign * top * lc b, is 0
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[k + i] -= top * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return UnivarPoly([-c for c in rem])
 
-    The remainder sequence of p and p' ends in g = gcd(p, p'); divided by g
-    it is a Sturm chain of p/g, which has the distinct roots of p as simple
-    roots.  Remainders are renormalized by positive factors only.
+
+def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
+    """Sturm chain of the squarefree part of p, with coprime integer
+    coefficients.
+
+    The negated remainder sequence of p and p' ends in g = gcd(p, p');
+    divided by g it is a Sturm chain of p/g, which has the distinct roots of
+    p as simple roots.  The chain is built in integers from sign-preserving
+    pseudo-remainders (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, ch. 8): each step scales by |lc|, never by lc, so each
+    pseudo-remainder is a positive multiple of the rational remainder, and
+    dividing out its positive content leaves the same primitive polynomial.
+    So every element, hence every sign variation, is that of the rational
+    remainder sequence renormalized by positive factors.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     chain = [p.primitive()]
-    d = p.derivative()
+    d = chain[0].derivative()
     if d.is_zero():
         return chain
     chain.append(d.primitive())
     while True:
-        r = -chain[-2].rem(chain[-1])
+        r = _negated_pseudo_remainder(chain[-2], chain[-1])
         if r.is_zero():
             break
         chain.append(r.primitive())
@@ -66,7 +93,7 @@ def _sign_at(q: UnivarPoly, t: Fraction) -> int:
     a, b = t.numerator, t.denominator
     acc, b_power = 0, 1
     for c in reversed(q.coeffs):
-        acc = acc * a + c.numerator * b_power
+        acc = acc * a + c * b_power
         b_power *= b
     return (acc > 0) - (acc < 0)
 
@@ -130,7 +157,7 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
     if sf.degree <= 0:
         return []
     lead = abs(sf.leading())
-    cauchy = 1 + max(abs(c) for c in sf.coeffs[:-1]) / lead
+    cauchy = 1 + Fraction(max(abs(c) for c in sf.coeffs[:-1]), lead)
     bound = Fraction(1)
     while bound <= cauchy:
         bound *= 2
@@ -139,7 +166,7 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
     while todo:
         lo, hi, v_lo, v_hi = todo.pop()
         if v_lo - v_hi == 1:
-            intervals.append(_isolate_one(sf, chain, lo, hi, v_hi, lead.numerator))
+            intervals.append(_isolate_one(sf, chain, lo, hi, v_hi, lead))
         elif v_lo - v_hi > 1:
             mid = (lo + hi) / 2
             v_mid = sign_variations(chain, mid)

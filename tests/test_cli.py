@@ -149,6 +149,17 @@ def test_epsilon_on_separator_exits_1(capsys):
     assert len(err.strip().splitlines()) == 1 and "separator" in err
 
 
+def test_invalid_epsilon_exits_1(capsys):
+    # bounded curves too: epsilon is checked before the points at infinity,
+    # and an empty value is no epsilon, not a silent certified count
+    for epsilon in ("-1", "0", ""):
+        for curve in ("x^2 + y^2 - 1", "y^2 - x^3"):
+            code, out, err = run(capsys, "invariant", f"--epsilon={epsilon}", curve)
+            assert code == 1 and out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (epsilon, curve)
+
+
 def test_emit_samples_csv(tmp_path, capsys):
     target = tmp_path / "samples.csv"
     code, out, _ = run(capsys, "check", "--emit-samples", str(target), "y^2 - x^3")

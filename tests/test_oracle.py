@@ -106,6 +106,14 @@ def test_radius_beyond_float_range_rejected():
             OracleConfig(radii_exponents=exponents)
 
 
+def test_negative_radius_exponent_rejected():
+    # 2^-600 is a finite float, but 2^600 = 1/R^deg overflows in the evaluator
+    assert OracleConfig(radii_exponents=(0, 1, 2)).radii_exponents[0] == 0
+    for exponents in ((-600, -599, -598), (-1, 4, 5)):
+        with pytest.raises(ValueError, match="negative"):
+            OracleConfig(radii_exponents=exponents)
+
+
 def test_constant_rejected():
     from bsinf.poly import BivarPoly
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bsinf import poly
 from bsinf.errors import BsinfError, DegenerateEliminationError
+from bsinf.germs import _restriction, _root_bound, circle_sectors
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import (
@@ -16,6 +17,8 @@ from bsinf.poly import (
     resultant,
     squarefree_part,
 )
+from bsinf.projective import points_at_infinity
+from bsinf.roots import isolate_real_roots
 
 from conftest import sylvester_resultant
 
@@ -318,3 +321,56 @@ def test_poly_arithmetic_basics():
     assert p.partial("x") == (x - y).scale(2)
     assert (p - p).is_zero()
     assert str(BivarPoly.zero()) == "0"
+
+
+def all_int(coefficients) -> bool:
+    return all(type(c) is int for c in coefficients)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    f = parse_poly("(y - x - 1)*(x^2 - 2*x*y + y^2 - x - y)^3 - 4/2*x + (x + 2*y - 1)^5")
+    assert all_int(f.terms.values())
+    assert all_int(f.partial("x").terms.values()) and all_int(f.partial("y").terms.values())
+    assert all_int(f.subs_value("x", 3).coeffs) and all_int(f.subs_value("y", -2).coeffs)
+    g = parse_poly("1/2*x^2 - 3/4*y + 5/6")
+    assert all_int(g.normalized_primitive().terms.values())
+    assert all_int(UnivarPoly([Fraction(1, 2), Fraction(-3, 4)]).primitive().coeffs)
+    assert all_int(parse_poly("1/2*x*2 + y*4/2").terms.values())
+    assert all_int(irreducible_factors(parse_poly("x^3 - x*y^2 + 2*x^2 - 2*y^2"))[0].terms.values())
+    # the rotation (3/5, 4/5) and the radius 7/3 leave no denominator
+    curve = parse_poly("x*y - 1")
+    sectors = circle_sectors(curve, points_at_infinity(curve))
+    assert sectors.rotation == (Fraction(3, 5), Fraction(4, 5))
+    for radius in (8, Fraction(7, 3)):
+        on_circle = _restriction(curve, radius, sectors)
+        assert not on_circle.is_zero() and all_int(on_circle.coeffs)
+
+
+def test_non_integral_coefficients_stay_fractions():
+    f = parse_poly("1/2*y^2 - 3/4*x^3")
+    assert f.terms == {(0, 2): Fraction(1, 2), (3, 0): Fraction(-3, 4)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert all(type(c) is Fraction for c in (f * f).terms.values())
+    assert type(UnivarPoly([1, Fraction(2, 3)]).coeffs[1]) is Fraction
+    # equality and hashing do not see the type
+    assert BivarPoly({(1, 0): 3}) == BivarPoly({(1, 0): Fraction(3)})
+    assert hash(BivarPoly({(1, 0): 3})) == hash(BivarPoly({(1, 0): Fraction(3)}))
+
+
+def test_divisions_are_exact_on_integer_inputs():
+    big = 10 ** 20 + 1  # big / 3 as a float is off by 1/3
+    bound = _root_bound(UnivarPoly([big, 3]))
+    assert type(bound) is Fraction and bound == 1 + Fraction(big, 3)
+    q, r = UnivarPoly([0, big]).divmod(UnivarPoly([0, 3]))
+    assert q.coeffs == (Fraction(big, 3),) and type(q.coeffs[0]) is Fraction and r.is_zero()
+    assert UnivarPoly([0, big])(Fraction(1, 3)) == Fraction(big, 3)
+    # beyond the float range a float division would overflow
+    huge = 10 ** 400
+    assert _root_bound(UnivarPoly([huge, 1])) == huge + 1
+    for p, root in ((UnivarPoly([-big, 3]), Fraction(big, 3)),
+                    (UnivarPoly([-huge, 3]), Fraction(huge, 3))):
+        [iv] = isolate_real_roots(p)
+        assert iv.exact_point == root
+        assert all(type(e) is Fraction for e in (iv.low, iv.high, iv.exact_point))
+    for iv in isolate_real_roots(UnivarPoly([-2 * huge, 0, 3])):
+        assert type(iv.low) is Fraction and type(iv.high) is Fraction

@@ -162,3 +162,83 @@ def test_root_interval_validation():
         RootInterval(Fraction(1), Fraction(0))
     with pytest.raises(ValueError):
         RootInterval(Fraction(0), Fraction(1), Fraction(1, 2))
+
+
+def fraction_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of coefficient lists (lowest power first) by
+    Fraction long division."""
+    r = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        q[k] = r[-1] / b[-1]
+        for i, c in enumerate(b):
+            r[k + i] -= q[k] * c
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def rational_sturm_chain(p: UnivarPoly) -> list[list[Fraction]]:
+    """Reference: the negated remainder sequence of p and p' by Fraction
+    division, divided by its last element, the gcd; no renormalization."""
+    chain = [[Fraction(c) for c in p.coeffs]]
+    derivative = [k * c for k, c in enumerate(chain[0])][1:]
+    if not derivative:
+        return chain
+    chain.append(derivative)
+    while True:
+        _, r = fraction_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    if len(chain[-1]) > 1:
+        chain = [fraction_divmod(q, chain[-1])[0] for q in chain]
+    return chain
+
+
+def rational_sign_variations(chain: list[list[Fraction]], t: Fraction) -> int:
+    signs = []
+    for q in chain:
+        value = Fraction(0)
+        for c in reversed(q):
+            value = value * t + c
+        if value:
+            signs.append(value > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def polys_and_rational_roots(draw):
+    """An integer or rational polynomial, sometimes squared or in t^2 (whose
+    remainder sequences skip degrees), times linear factors t - r, some
+    repeated, with any sign of leading coefficient: many are not squarefree.
+    Returns it with its roots r."""
+    coeff = st.one_of(st.integers(-30, 30), st.fractions(-9, 9, max_denominator=6))
+    p = UnivarPoly(draw(st.lists(coeff, min_size=1, max_size=5)))
+    if p.is_zero():
+        p = UnivarPoly([-3])
+    if draw(st.booleans()):
+        p = UnivarPoly([c for a in p.coeffs for c in (a, 0)])  # p(t^2)
+    if draw(st.booleans()):
+        p = p * p
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=4), max_size=3))
+    for r in roots:
+        p = p * UnivarPoly([-r, 1]) ** draw(st.integers(1, 3))
+    return p, roots
+
+
+@given(polys_and_rational_roots(),
+       st.lists(st.fractions(-20, 20, max_denominator=50), max_size=6))
+@example((UnivarPoly([1, 0, -2, 1, 1]), []), [Fraction(-1)])
+# -t^3 + 3t: the first pseudo-remainder takes one step, by lc = -3 < 0
+@example((UnivarPoly([0, 3, 0, -1]), []), [Fraction(1, 2), Fraction(3)])
+@example((UnivarPoly([-1, 1]) ** 3 * UnivarPoly([2, 0, -1]), [Fraction(1)]), [Fraction(0)])
+@settings(max_examples=150, deadline=None)
+def test_integer_sturm_chain_matches_rational_remainders(case, points):
+    p, roots = case
+    chain = sturm_chain(p)
+    assert all(type(c) is int for q in chain for c in q.coeffs)
+    reference = rational_sturm_chain(p)
+    for t in points + roots:
+        assert sign_variations(chain, t) == rational_sign_variations(reference, t), t
