@@ -33,7 +33,7 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .oracle import OracleConfig, OracleReport, oracle_k
+from .oracle import OracleReport, oracle_k
 from .parsing import parse_poly
 from .poly import BivarPoly, squarefree_part
 from .projective import DirectionS1, ProjPointAtInfinity
@@ -52,7 +52,6 @@ __all__ = [
     "NonTransverseCircleError",
     "NormalFormDescriptor",
     "NotRealizableError",
-    "OracleConfig",
     "OracleReport",
     "ParseError",
     "PointRecord",

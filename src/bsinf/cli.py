@@ -2,8 +2,8 @@
 
 Subcommands: invariant, equiv, normal-form, realize, check.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success / equivalent / agree,
-1 input or internal error, 2 not equivalent, 3 not realizable, 4 oracle
-disagreement.
+1 input or internal error (usage errors included), 2 not equivalent, 3 not
+realizable, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .oracle import OracleConfig, oracle_k
+from .oracle import oracle_k
 from .parsing import parse_poly
 from .poly import BivarPoly, squarefree_part
 
@@ -156,11 +156,10 @@ def _cmd_realize(args) -> int:
 
 def _cmd_check(args) -> int:
     f = _read_curve_arg(args.curve)
-    cfg = OracleConfig(radii_exponents=tuple(range(4, args.radius_max + 1)))
     exact = k_at_infinity(f)
     # the invariant concerns the zero set: a repeated factor would read to the
     # sign-scanning oracle as a persistent tangency, so compare reduced curves
-    est = oracle_k(squarefree_part(f), cfg)
+    est = oracle_k(squarefree_part(f), args.radius_max)
     if args.emit_samples:
         with open(args.emit_samples, "w", encoding="utf-8") as fh:
             fh.write("radius,angle,x,y\n")
@@ -199,12 +198,20 @@ def _cmd_check(args) -> int:
     return 0 if agree else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, the code of every input error:
+    argparse's own 2 is the code of NOT EQUIVALENT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--quiet", action="store_true", help="result line only")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bsinf",
         description="Classify real plane algebraic curves at infinity: "
                     "complete invariant, equivalence, normal forms, realization.",
@@ -214,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", parents=[common],
                        help="compute the invariant of a curve at infinity")
     p.add_argument("curve", help="polynomial in x, y (or @file)")
+    p.add_argument("--quiet", action="store_true", help="result line only")
     p.add_argument("--epsilon", metavar="FRAC",
                    help="override the certified radius (counts become uncertified)")
     p.set_defaults(func=_cmd_invariant)

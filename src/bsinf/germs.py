@@ -54,7 +54,7 @@ from itertools import count
 from .errors import NonTransverseCircleError
 from .poly import BivarPoly, UnivarPoly, irreducible_factors, resultant
 from .projective import ProjPointAtInfinity, leading_form
-from .roots import isolate_real_roots, sign_variations, sturm_chain
+from .roots import _sign_at, isolate_real_roots, root_bound, sign_variations, sturm_chain
 
 
 @dataclass(frozen=True)
@@ -83,39 +83,37 @@ def circle_sectors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> Sectors:
     """The sectors of the circles about the origin for the curve f with the
     given points at infinity.
 
-    In the rotated frame a point's representative is (a, b) = M^T(alpha,
-    beta), and cross(t) = b*t^2 + 2a*t - b, the cross product of (a, b) with
-    (1 - t^2, 2t), vanishes at its two directions.  The product of the cross
-    polynomials has the curve's directions as its simple real roots.
+    In the rotated frame a point's representative is (a, b) = q*M^T(alpha,
+    beta), an integer vector for the integer rotation (a, b)/q of
+    `_integer_rotation`, and cross(t) = b*t^2 + 2a*t - b, the cross product
+    of (a, b) with (1 - t^2, 2t), vanishes at its two directions.  The
+    product of the cross polynomials has the curve's directions as its
+    simple real roots.
+
+    Labels come from the order of the directions by angle.  The rotation
+    keeps +-M(1, 0) off the curve's directions, so every direction (a, b) of
+    the rotated frame has b != 0.  Its parameter is t = tan(theta/2) for its
+    angle theta in (-pi, pi), negative for b < 0 and positive for b > 0; on
+    either half-plane theta grows with -a/b = -cot(theta), and so does t.  So
+    the directions sorted by the key (b > 0, -a/b) are the roots in
+    increasing order, which are the sectors from t = -oo up.
     """
-    c, s = _rotation(leading_form(f))
+    rotation = _rotation(leading_form(f))
+    c, s, _ = _integer_rotation(rotation)
     frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
     crosses = [UnivarPoly([-b, 2 * a, b]) for a, b in frames]
     roots = isolate_real_roots(math.prod(crosses, start=UnivarPoly.constant(1)))
-    labels = []
-    for iv in roots:
-        lo, hi = iv.low, iv.high
-        for point, (a, b), cross in zip(points, frames, crosses):
-            if iv.exact_point is not None and cross(lo) == 0:
-                # the sign of the dot product of (a, b) with (1 - t^2, 2t)
-                plus = a * (1 - lo * lo) + 2 * b * lo > 0
-            elif iv.exact_point is None and cross(lo) * cross(hi) < 0:
-                # an irrational root r, so b != 0, and there the dot product
-                # is 2r(a^2 + b^2)/b: its sign is that of r*b
-                positive = lo >= 0 or (hi > 0 and cross(0) * cross(hi) < 0)
-                plus = positive == (b > 0)
-            else:
-                continue
-            labels.append((point, 1 if plus else -1))
-            break
-    assert len(labels) == len(roots), "each direction is a root of one cross"
+    signed = [(side * a, side * b, point, side)
+              for point, (a, b) in zip(points, frames) for side in (1, -1)]
+    signed.sort(key=lambda d: (d[1] > 0, Fraction(-d[0], d[1])))
+    assert len(signed) == len(roots), "each direction is a simple root"
     separators = tuple((a.high + b.low) / 2 for a, b in zip(roots, roots[1:]))
-    return Sectors((c, s), separators, tuple(labels))
+    return Sectors(rotation, separators, tuple((point, side) for _, _, point, side in signed))
 
 
-def _integer_rotation(sectors: Sectors) -> tuple[int, int, int]:
+def _integer_rotation(rotation: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
     """(a, b, q) with q > 0 and the rotation (c, s) = (a, b)/q."""
-    c, s = sectors.rotation
+    c, s = rotation
     q = math.lcm(c.denominator, s.denominator)
     return c.numerator * (q // c.denominator), s.numerator * (q // s.denominator), q
 
@@ -130,7 +128,7 @@ def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> Univ
     and the radius: with them, p(t) = (X(t), Y(t))/(q*(1 + t^2)) for integer
     polynomials X, Y.  A positive factor changes no sign, so no root, Sturm
     count or sector count."""
-    a, b, q = _integer_rotation(sectors)
+    a, b, q = _integer_rotation(sectors.rotation)
     a, b, q = a * radius.numerator, b * radius.numerator, q * radius.denominator
     x = UnivarPoly([a, -2 * b, -a])
     y = UnivarPoly([b, 2 * a, -b])
@@ -153,12 +151,6 @@ def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> Univ
     return acc
 
 
-def _variations_at_infinity(chain: list[UnivarPoly], side: int) -> int:
-    """Sign variations of a Sturm chain at t = side*oo."""
-    signs = [q.leading() * side ** q.degree > 0 for q in chain]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
     """Points of {g = 0} on the circle of the given radius, per sector.
 
@@ -168,14 +160,13 @@ def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> li
     p = _restriction(g, radius, sectors)
     if p.is_zero():
         raise NonTransverseCircleError("the sample circle lies inside the curve")
-    # the t^(2 deg g) coefficient of p is g(p(oo))
-    if p.degree < 2 * g.degree or any(p(t) == 0 for t in sectors.separators):
+    # the t^(2 deg g) coefficient of p is g(p(oo)), and chain[0], p made
+    # primitive, has the roots of p
+    chain = sturm_chain(p)
+    if p.degree < 2 * g.degree or any(_sign_at(chain[0], t) == 0 for t in sectors.separators):
         raise ValueError("the circle meets the curve on a separator ray; "
                          "counts by sector are undefined at this radius")
-    chain = sturm_chain(p)
-    variations = ([_variations_at_infinity(chain, -1)]
-                  + [sign_variations(chain, t) for t in sectors.separators]
-                  + [_variations_at_infinity(chain, 1)])
+    variations = [sign_variations(chain, t) for t in (-math.inf, *sectors.separators, math.inf)]
     return [a - b for a, b in zip(variations, variations[1:])]
 
 
@@ -196,46 +187,36 @@ def _elim(a: BivarPoly, b: BivarPoly, var: str) -> UnivarPoly:
     return r
 
 
-def _root_bound(p: UnivarPoly) -> Fraction:
-    """Cauchy's bound 1 + max |c_k/c_n| on the real roots of p; 0 without roots."""
-    if p.degree <= 0:
-        return Fraction(0)
-    lead = abs(p.leading())
-    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), lead)
-
-
 def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
     """The certified radius R of a counted irreducible u: the first power of
     2 whose square exceeds Bx^2 + By^2 and the squared radius bound of the
     points of u on each separator ray (see the module docstring)."""
     h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
-    squares = [_root_bound(_elim(u, h, "y")) ** 2 + _root_bound(_elim(u, h, "x")) ** 2]
+    squares = [root_bound(_elim(u, h, "y")) ** 2 + root_bound(_elim(u, h, "x")) ** 2]
     # each ray direction v = (a, b)/q in integers: M(1 - t^2, 2t) for the
     # separators t = n/m, over the rotation's denominator times m^2, and
     # -M(1, 0) for t = oo
-    rc, rs, rq = _integer_rotation(sectors)
+    rc, rs, rq = _integer_rotation(sectors.rotation)
     rays = [(-rc, -rs, rq)]
     for t in sectors.separators:
         n, m = t.numerator, t.denominator
         e = m * m - n * n
         rays.append((rc * e - 2 * rs * n * m, rs * e + 2 * rc * n * m, rq * m * m))
-    # u(s*v) as a polynomial in s, times the positive constant den * q^deg u
-    # (which leaves the root bound as it is) so that it is in integers:
-    # with u = U/den its s^k coefficient is A_k * q^(deg - k), A_k the sum of
-    # U_ij * a^i * b^j over i + j = k
+    # u(s*v) as a polynomial in s, times the positive constant q^deg u (which
+    # leaves the root bound as it is) so that it is in integers, as u is: its
+    # s^k coefficient is A_k * q^(deg - k), A_k the sum of u_ij * a^i * b^j
+    # over i + j = k
     d = u.degree
-    den = math.lcm(*(cf.denominator for _, cf in u.items()))
-    terms = [(i, j, int(cf * den)) for (i, j), cf in u.items()]
     for a, b, q in rays:
         pa, pb = [1], [1]
         for _ in range(d):
             pa.append(pa[-1] * a)
             pb.append(pb[-1] * b)
         along = [0] * (d + 1)
-        for i, j, cf in terms:
+        for (i, j), cf in u.items():
             along[i + j] += cf * pa[i] * pb[j]
         along = UnivarPoly([x * q ** (d - k) for k, x in enumerate(along)])
-        squares.append(_root_bound(along) ** 2 * Fraction(a * a + b * b, q * q))
+        squares.append(root_bound(along) ** 2 * Fraction(a * a + b * b, q * q))
     bound = max(squares)
     radius = 1
     while radius * radius <= bound:

@@ -16,45 +16,20 @@ imported by the scans that use it, so only the `check` command pays for it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .poly import BivarPoly
 
 _TWO_PI = 2.0 * math.pi
+_FIRST_EXPONENT = 4  # the circles have radii 2^4, 2^5, ..., 2^radius_max
+_ANGULAR_GRID = 2 ** 14  # samples of the top scan of each circle
+_CLUSTER_TOL = 1e-3  # radians between limit angles of one direction
+_STABILITY_WINDOW = 3  # consecutive radii with equal totals for a stable count
 _SUBSCAN = 512    # samples per refinement window
-_BATCH = 32       # windows rescanned together: 32 * 512 samples, the default top grid
+_BATCH = 32       # windows rescanned together: 32 * 512 samples, the top grid
 _MAX_DEPTH = 3    # nested refinement levels
 _MIN_WIDTH = 1e-11  # do not refine windows narrower than this (radians)
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Sampling schedule: circle radii 2^k for k >= 0 in radii_exponents, an
-    angular grid per circle, an angle tolerance for clustering intersections
-    and the number of consecutive radii with identical cluster counts required
-    for stability."""
-
-    radii_exponents: tuple[int, ...] = tuple(range(4, 21))
-    angular_grid: int = 2 ** 14
-    cluster_tol: float = 1e-3
-    stability_window: int = 3
-
-    def __post_init__(self):
-        if not self.radii_exponents or self.angular_grid < 8:
-            raise ValueError("degenerate sampling schedule")
-        if self.stability_window < 2:
-            raise ValueError("stability_window must be at least 2")
-        for e in self.radii_exponents:
-            if e < 0:
-                raise ValueError(f"radius exponent {e} is negative: a radius below 1 "
-                                 f"says nothing about the curve at infinity")
-            try:
-                finite = math.isfinite(2.0 ** e)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"radius exponent {e} is too large: "
-                                 f"2^{e} is not a finite float")
 
 
 @dataclass(frozen=True)
@@ -374,21 +349,27 @@ def _best_plateau(totals: list[int], window: int) -> tuple[int, int, bool]:
     return best[0], best[1], False
 
 
-def oracle_k(f: BivarPoly, cfg: OracleConfig | None = None) -> OracleReport:
-    """Estimate asymptotic directions and per-direction branch counts.
+def oracle_k(f: BivarPoly, radius_max: int = 20) -> OracleReport:
+    """Estimate asymptotic directions and per-direction branch counts on the
+    circles of radii 2^4, 2^5, ..., 2^radius_max.
 
     Intersection angles are tracked across the radii of the best totals
     plateau; per-trajectory limit angles are extrapolated and clustered into
-    directions.  Deterministic: identical input and config produce identical
-    reports.
+    directions.  Deterministic: identical input and radius_max produce
+    identical reports.
     """
     if f.is_constant():
         raise ValueError("not a curve")
-    cfg = cfg or OracleConfig()
+    if radius_max < _FIRST_EXPONENT:
+        raise ValueError(f"radius exponent {radius_max} is below {_FIRST_EXPONENT}, "
+                         f"the first one: no circle is left to scan")
+    if radius_max >= sys.float_info.max_exp:
+        raise ValueError(f"radius exponent {radius_max} is too large: radii from "
+                         f"2^{sys.float_info.max_exp} up are not finite floats")
     ev, scale = _scaled_evaluator(f)
 
-    radii = [2.0 ** e for e in cfg.radii_exponents]
-    grid = _circle_grid(cfg.angular_grid)
+    radii = [2.0 ** e for e in range(_FIRST_EXPONENT, radius_max + 1)]
+    grid = _circle_grid(_ANGULAR_GRID)
     per_radius: list[list[float]] = []
     samples: list[tuple[float, float, float, float]] = []
     for radius in radii:
@@ -399,7 +380,7 @@ def oracle_k(f: BivarPoly, cfg: OracleConfig | None = None) -> OracleReport:
         per_radius.append(angles)
 
     totals = [len(a) for a in per_radius]
-    first, last, stable = _best_plateau(totals, cfg.stability_window)
+    first, last, stable = _best_plateau(totals, _STABILITY_WINDOW)
 
     n = totals[first]
     if n == 0:
@@ -445,7 +426,7 @@ def oracle_k(f: BivarPoly, cfg: OracleConfig | None = None) -> OracleReport:
     limits = sorted(_aitken_limit(tr) % _TWO_PI for tr in trajectories)
     directions = [
         ((math.cos((center + cut) % _TWO_PI), math.sin((center + cut) % _TWO_PI)), size)
-        for center, size in _cluster(limits, cfg.cluster_tol)
+        for center, size in _cluster(limits, _CLUSTER_TOL)
     ]
     return OracleReport(
         directions=tuple(sorted(directions)),

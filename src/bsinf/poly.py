@@ -10,6 +10,12 @@ the difference.  Every division is exact; no floating point enters this
 module.  Printing and sign normalization use graded-lexicographic order
 (total degree, then exponent of the first variable).  sympy is imported
 only to factor what is neither a product nor a line or a nondegenerate conic.
+
+Each univariate primitive has one implementation, on coefficient lists: one
+sum (with a sign), one product and one exact quotient in Z[t].  UnivarPoly
+wraps the sum and the product, the Bareiss resultant calls all three
+directly, and Sturm chains divide by their gcd with the quotient.  One
+square-and-multiply serves the powers of both polynomial types.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateEliminationError, DegreeZeroError, ZeroPolynomialError
 
@@ -46,6 +52,63 @@ def _primitive_ints(coeffs: Iterable[int | Fraction]) -> list[int]:
 # ---------------------------------------------------------------------------
 # univariate polynomials (dense)
 # ---------------------------------------------------------------------------
+#
+# A coefficient list holds a univariate polynomial, lowest power first, with
+# no trailing zeros; [] is zero.
+
+def _list_add(a: Sequence, b: Sequence, sign: int = 1) -> list:
+    """a + sign*b, with no trailing zeros."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _list_mul(a: Sequence, b: Sequence) -> list:
+    """a * b, with no trailing zeros: its lead is the product of the leads."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for b dividing a in Z[t]: each quotient coefficient is an
+    integer, so each step of long division divides exactly."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return []
+    rem = list(a)
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + n] // b[-1]
+        if c:
+            q[k] = c
+            for i, cb in enumerate(b):
+                rem[k + i] -= c * cb
+    return q
+
+
+def _power(base, n: int, one):
+    """base^n by square-and-multiply, for base of a type with `*` and its
+    unit `one`."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:  # no square after the last bit
+            base = base * base
+    return result
+
 
 class UnivarPoly:
     """Dense univariate polynomial; coeffs[k] is the coefficient of t^k, an
@@ -89,45 +152,20 @@ class UnivarPoly:
         return UnivarPoly([-c for c in self.coeffs])
 
     def __add__(self, other: UnivarPoly) -> UnivarPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UnivarPoly(out)
+        return UnivarPoly(_list_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: UnivarPoly) -> UnivarPoly:
-        return self + (-other)
+        return UnivarPoly(_list_add(self.coeffs, other.coeffs, -1))
 
     def __mul__(self, other: UnivarPoly) -> UnivarPoly:
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UnivarPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return UnivarPoly(out)
+        return UnivarPoly(_list_mul(self.coeffs, other.coeffs))
 
     def scale(self, c) -> UnivarPoly:
         c = _rational(c)
         return UnivarPoly([c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> UnivarPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = UnivarPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square after the last bit
-                base = base * base
-        return result
+        return _power(self, n, UnivarPoly.constant(1))
 
     def divmod(self, other: UnivarPoly) -> tuple[UnivarPoly, UnivarPoly]:
         if other.is_zero():
@@ -145,9 +183,6 @@ class UnivarPoly:
             while rem and rem[-1] == 0:
                 rem.pop()
         return UnivarPoly(q), UnivarPoly(rem)
-
-    def rem(self, other: UnivarPoly) -> UnivarPoly:
-        return self.divmod(other)[1]
 
     def derivative(self) -> UnivarPoly:
         return UnivarPoly([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -332,17 +367,7 @@ class BivarPoly:
         return BivarPoly({e: c * a for e, a in self._terms.items()})
 
     def __pow__(self, n: int) -> BivarPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = BivarPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square after the last bit
-                base = base * base
-        return result
+        return _power(self, n, BivarPoly.constant(1))
 
     def partial(self, var: str) -> BivarPoly:
         k = 0 if var == "x" else 1
@@ -499,12 +524,25 @@ def _is_line_or_nondegenerate_conic(f: BivarPoly) -> bool:
 
 def _sympy_factors(f: BivarPoly) -> set[BivarPoly]:
     """The distinct irreducible factors of f from sympy's `factor_list`, each
-    canonically scaled.  sympy is imported here, the first time it is needed."""
+    canonically scaled.  sympy is imported here, the first time it is needed.
+
+    Wang's multivariate factoring draws evaluation points from sympy's
+    process-wide generator, which is seeded at random, and a bad draw can
+    make one factorization several times slower.  The generator is seeded
+    with 0 for the call, so a curve costs the same in every process, and the
+    caller's state is restored afterwards."""
     import sympy
+    from sympy.core.random import rng
 
     gens = sympy.symbols("x y")
     rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.items()}
-    _, factors = sympy.Poly.from_dict(rep, *gens, domain="QQ").factor_list()
+    poly = sympy.Poly.from_dict(rep, *gens, domain="QQ")
+    state = rng.getstate()
+    rng.seed(0)
+    try:
+        _, factors = poly.factor_list()
+    finally:
+        rng.setstate(state)
     return {BivarPoly({e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
             .normalized_primitive() for p, _ in factors}
 
@@ -533,46 +571,6 @@ def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
 # ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
-#
-# Integer polynomials in the other variable are lists of ints, lowest power
-# first, with no trailing zeros; [] is zero.
-
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _int_sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for k, c in enumerate(b):
-        out[k] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """a / b for b dividing a in Z[t]: each quotient coefficient is an
-    integer, so each step of long division divides exactly."""
-    n = len(b) - 1
-    if len(a) <= n:
-        return []
-    rem = list(a)
-    q = [0] * (len(a) - n)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + n] // b[-1]
-        if c:
-            q[k] = c
-            for i, cb in enumerate(b):
-                rem[k + i] -= c * cb
-    return q
-
 
 def _integer_rows(f: BivarPoly, var: str) -> tuple[list[list[int]], int]:
     """The coefficients of d*f in var, highest power first, as integer
@@ -614,7 +612,7 @@ def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
         for row in mat[k + 1:]:
             lead = row[k]
             for c in range(k + 1, size):
-                entry = _int_sub(_int_mul(row[c], top[k]), _int_mul(lead, top[c]))
+                entry = _list_add(_list_mul(row[c], top[k]), _list_mul(lead, top[c]), -1)
                 row[c] = _int_exact_div(entry, prev)
             row[k] = []
         prev = top[k]

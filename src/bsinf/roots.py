@@ -3,6 +3,11 @@
 Sturm-sequence sign-variation counting and bisection.  Rational roots are
 found exactly without factoring, and isolating intervals of the other roots
 never have roots at their endpoints.
+
+This module holds the one sign evaluator of the exact kernel, `_sign_at`,
+which works in integers at a rational point or at +-oo, and the one Cauchy
+root bound, `root_bound`; the sector counts and the certified radius in
+germs use both.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import UnivarPoly
+from .poly import UnivarPoly, _int_exact_div
 
 
 @dataclass(frozen=True)
@@ -82,15 +87,22 @@ def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
             break
         chain.append(r.primitive())
     if chain[-1].degree > 0:
-        g = chain[-1]
-        chain = [q.divmod(g)[0].primitive() for q in chain]
+        # q and g are primitive, so by Gauss's lemma q/g is an integer
+        # polynomial, and a primitive one
+        g = chain[-1].coeffs
+        chain = [UnivarPoly(_int_exact_div(q.coeffs, g)) for q in chain]
     return chain
 
 
-def _sign_at(q: UnivarPoly, t: Fraction) -> int:
-    """Sign of q(t) for q with integer coefficients, on integers: with
-    t = a/b, b > 0, it is the sign of b^n q(t), the sum of c_k a^k b^(n-k)."""
-    a, b = t.numerator, t.denominator
+def _sign_at(q: UnivarPoly, t: Fraction | float) -> int:
+    """Sign of q(t) for q with integer coefficients and t rational or
+    +-math.inf, on integers: with t = a/b, b > 0, it is the sign of
+    b^n q(t), the sum of c_k a^k b^(n-k).  t = +-oo is taken as a = +-1,
+    b = 0, which leaves c_n a^n, the sign of the leading term there."""
+    if isinstance(t, float):
+        a, b = (1 if t > 0 else -1), 0
+    else:
+        a, b = t.numerator, t.denominator
     acc, b_power = 0, 1
     for c in reversed(q.coeffs):
         acc = acc * a + c * b_power
@@ -98,10 +110,18 @@ def _sign_at(q: UnivarPoly, t: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_variations(chain: list[UnivarPoly], t: Fraction) -> int:
-    """Sign variations of a Sturm chain (integer coefficients) at t."""
+def sign_variations(chain: list[UnivarPoly], t: Fraction | float) -> int:
+    """Sign variations of a Sturm chain (integer coefficients) at t, a
+    rational or +-math.inf."""
     signs = [s for s in (_sign_at(q, t) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def root_bound(p: UnivarPoly) -> Fraction:
+    """Cauchy's bound 1 + max |c_k/c_n| on the real roots of p; 0 without roots."""
+    if p.degree <= 0:
+        return Fraction(0)
+    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading()))
 
 
 def _isolate_one(sf: UnivarPoly, chain: list[UnivarPoly], lo: Fraction, hi: Fraction,
@@ -157,7 +177,7 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
     if sf.degree <= 0:
         return []
     lead = abs(sf.leading())
-    cauchy = 1 + Fraction(max(abs(c) for c in sf.coeffs[:-1]), lead)
+    cauchy = root_bound(sf)
     bound = Fraction(1)
     while bound <= cauchy:
         bound *= 2

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from bsinf.cli import main
 from bsinf.invariant import KInvariant, NormalFormDescriptor, k_at_infinity
 from bsinf.parsing import parse_poly
@@ -45,6 +47,29 @@ def test_equiv_exit_codes(capsys):
     code, out, _ = run(capsys, "equiv", "y^2 - x^3", "(y-x)^2 - (y+x)")
     assert code == 2 and "NOT EQUIVALENT" in out
     assert run(capsys, "equiv", "y^2 - x^3", "y^2 - x^3")[0] == 0
+
+
+def test_usage_errors_exit_1_not_2(capsys):
+    # 2 means NOT EQUIVALENT, so a script must never see it for bad arguments
+    for argv in (["equiv", "y - x"], ["equiv", "--bogus", "a", "b"],
+                 ["check", "--radius-max", "abc", "y - x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1, argv
+        assert not captured.out and captured.err.startswith("usage: bsinf"), argv
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "--help"])
+    assert exc.value.code == 0 and "usage: bsinf equiv" in capsys.readouterr().out
+
+
+def test_quiet_belongs_to_invariant_alone(capsys):
+    for argv in (["equiv", "--quiet", "y - x", "y + x"], ["realize", "--quiet", "1,3"],
+                 ["normal-form", "--quiet", "1,1"], ["check", "--quiet", "y - x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "unrecognized arguments: --quiet" in capsys.readouterr().err
 
 
 def test_normal_form_tuple(capsys):
@@ -180,7 +205,7 @@ def test_check_disagreement_exit_4(capsys, monkeypatch):
     import bsinf.cli as cli_mod
     from bsinf.oracle import OracleReport
 
-    def bogus_oracle(f, cfg=None):
+    def bogus_oracle(f, radius_max=20):
         return OracleReport(directions=(((1.0, 0.0), 7),), stable=True,
                             radii_used=(16.0,), samples=())
 

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsinf import germs
 from bsinf.errors import NonTransverseCircleError
@@ -16,7 +19,7 @@ from bsinf.germs import (
 )
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, squarefree_part
+from bsinf.poly import BivarPoly, UnivarPoly, squarefree_part
 from bsinf.projective import (
     ProjPointAtInfinity,
     direction_pair,
@@ -310,3 +313,71 @@ def test_bounded_factor_meeting_large_circles_is_ignored():
     assert _certified_bound(counted[0], sectors) < 1000
     assert records_by_direction(f) == {(1, 1): 1, (-1, -1): 1}
 
+
+
+def cross_matched_sectors(points, rotation):
+    """Reference: the separators and labels of circle_sectors found by
+    matching each isolating interval of the product of the Fraction crosses
+    to the cross that vanishes at its exact point or changes sign on it, and
+    reading the side from the sign of the dot product with (1 - t^2, 2t)."""
+    c, s = rotation
+    frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
+    crosses = [UnivarPoly([-b, 2 * a, b]) for a, b in frames]
+    roots = isolate_real_roots(math.prod(crosses, start=UnivarPoly.constant(1)))
+    labels = []
+    for iv in roots:
+        lo, hi = iv.low, iv.high
+        for point, (a, b), cross in zip(points, frames, crosses):
+            if iv.exact_point is not None and cross(lo) == 0:
+                plus = a * (1 - lo * lo) + 2 * b * lo > 0
+            elif iv.exact_point is None and cross(lo) * cross(hi) < 0:
+                # an irrational root r, so b != 0, and there the dot product
+                # is 2r(a^2 + b^2)/b: its sign is that of r*b
+                positive = lo >= 0 or (hi > 0 and cross(0) * cross(hi) < 0)
+                plus = positive == (b > 0)
+            else:
+                continue
+            labels.append((point, 1 if plus else -1))
+            break
+    assert len(labels) == len(roots)
+    separators = tuple((a.high + b.low) / 2 for a, b in zip(roots, roots[1:]))
+    return separators, tuple(labels)
+
+
+def pythagorean_rotation(k: int) -> tuple[Fraction, Fraction]:
+    """The k-th rotation that germs._rotation tries: m = 0, 1, 1/2, 1/3, ..."""
+    m = Fraction(1, k) if k else Fraction(0)
+    return (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
+
+
+def assert_sectors_match_cross_matching(f: BivarPoly, points) -> None:
+    for k in range(6):
+        rotation = pythagorean_rotation(k)
+        if leading_form(f).evaluate(*rotation) == 0:
+            continue  # t = oo would be a direction of the curve
+        with mock.patch.object(germs, "_rotation", lambda lf: rotation):
+            sectors = circle_sectors(f, points)
+        assert sectors.rotation == rotation
+        assert (sectors.separators, sectors.labels) == \
+            cross_matched_sectors(points, rotation), (str(f), rotation)
+
+
+@given(st.sets(st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+               .filter(lambda ab: ab != (0, 0))
+               .map(lambda ab: ProjPointAtInfinity(ab).rep), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_angle_order_labels_match_cross_matching(reps):
+    f = BivarPoly.constant(1)
+    for a, b in reps:
+        f = f * BivarPoly({(1, 0): b, (0, 1): -a})
+    points = points_at_infinity(f)
+    assert sorted(p.rep for p in points) == sorted(reps)
+    assert_sectors_match_cross_matching(f, points)
+
+
+def test_angle_order_labels_match_cross_matching_on_corpus():
+    for f in corpus_curves():
+        sf = squarefree_part(f)
+        points = points_at_infinity(sf)
+        if points:
+            assert_sectors_match_cross_matching(sf, points)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import bsinf.oracle as oracle
 from bsinf.invariant import k_at_infinity
 from bsinf.oracle import (
-    OracleConfig,
     _bisect_bracket,
     _circle_grid,
     _ev_at,
@@ -61,13 +60,14 @@ def test_determinism():
     assert a == b
 
 
-def test_monotone_refinement():
+def test_monotone_refinement(monkeypatch):
     """Doubling the angular grid never loses intersections."""
     for text in ["y^2 - x^3", "((y-x) - 1)*((y-x)^2 - (y+x))", "(y-x-1)*(y-x-2)"]:
         f = parse_poly(text)
         totals = []
         for grid in (2 ** 12, 2 ** 13, 2 ** 14):
-            rep = oracle_k(f, OracleConfig(angular_grid=grid))
+            monkeypatch.setattr(oracle, "_ANGULAR_GRID", grid)
+            rep = oracle_k(f)
             totals.append(sum(c for _, c in rep.directions))
         assert totals[0] <= totals[1] <= totals[2]
 
@@ -93,25 +93,27 @@ def test_agreement_with_exact(classic_curves):
 
 def test_unstable_flag_with_short_schedule():
     # a schedule that ends before the parabola pair resolves cannot certify
-    cfg = OracleConfig(radii_exponents=(4, 5), stability_window=3)
-    rep = oracle_k(parse_poly("y^2 - x^3"), cfg)
+    rep = oracle_k(parse_poly("y^2 - x^3"), radius_max=5)
     assert len(rep.radii_used) == 2
     assert not rep.stable or counts_of(rep) == (1, 1)
 
 
-def test_radius_beyond_float_range_rejected():
-    assert OracleConfig(radii_exponents=(4, 1023)).radii_exponents[-1] == 1023
-    for exponents in ((4, 1024), (2000,), (4, 5, 1100)):
-        with pytest.raises(ValueError, match="not a finite float"):
-            OracleConfig(radii_exponents=exponents)
+def test_radius_beyond_float_range_rejected(monkeypatch):
+    f = parse_poly("y^2 - x^3")
+    for radius_max in (1024, 1100, 2000):
+        with pytest.raises(ValueError, match="not finite floats"):
+            oracle_k(f, radius_max)
+    # 2^1023 is the largest finite radius; the scans are stubbed out
+    monkeypatch.setattr(oracle, "_intersection_angles", lambda *args: [])
+    assert oracle_k(f, 1023).radii_used[-1] == 2.0 ** 1023
 
 
-def test_negative_radius_exponent_rejected():
-    # 2^-600 is a finite float, but 2^600 = 1/R^deg overflows in the evaluator
-    assert OracleConfig(radii_exponents=(0, 1, 2)).radii_exponents[0] == 0
-    for exponents in ((-600, -599, -598), (-1, 4, 5)):
-        with pytest.raises(ValueError, match="negative"):
-            OracleConfig(radii_exponents=exponents)
+def test_radius_max_below_first_exponent_rejected():
+    # the schedule starts at 2^4, so a smaller radius_max leaves no circle
+    assert len(oracle_k(parse_poly("y^2 - x^3"), 4).radii_used) == 1
+    for radius_max in (3, 0, -600):
+        with pytest.raises(ValueError, match="below 4"):
+            oracle_k(parse_poly("y^2 - x^3"), radius_max)
 
 
 def test_constant_rejected():

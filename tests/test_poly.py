@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bsinf import poly
 from bsinf.errors import BsinfError, DegenerateEliminationError
-from bsinf.germs import _restriction, _root_bound, circle_sectors
+from bsinf.germs import _restriction, circle_sectors
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import (
@@ -18,7 +18,7 @@ from bsinf.poly import (
     squarefree_part,
 )
 from bsinf.projective import points_at_infinity
-from bsinf.roots import isolate_real_roots
+from bsinf.roots import isolate_real_roots, root_bound
 
 from conftest import sylvester_resultant
 
@@ -287,6 +287,36 @@ def test_expanded_input_is_factored_once(monkeypatch):
     assert calls == [f]
 
 
+def test_factoring_draws_the_same_points_in_every_process(monkeypatch):
+    """Wang's factoring is entered with sympy's generator seeded with 0,
+    whatever the caller's seed, and the caller's state comes back."""
+    import sympy.polys.factortools as factortools
+    from sympy.core.random import rng
+
+    entries = []
+    wang = factortools.dmp_zz_wang
+
+    def recording_wang(*args, **kwargs):
+        entries.append(rng.getstate())
+        return wang(*args, **kwargs)
+
+    monkeypatch.setattr(factortools, "dmp_zz_wang", recording_wang)
+    # an expanded product of two cubics: no pieces, so sympy factors it whole
+    f = parse_poly(str(parse_poly("(y^2 - x^3 - 1)*(x^2*y - y^3 + 2)")))
+    assert not f._pieces and not poly._is_line_or_nondegenerate_conic(f)
+    saved = rng.getstate()
+    try:
+        for caller_seed in (1, 2):
+            rng.seed(caller_seed)
+            before = rng.getstate()
+            assert len(poly._sympy_factors(f)) == 2
+            assert rng.getstate() == before
+        rng.seed(0)
+        assert len(entries) == 2 and entries[0] == entries[1] == rng.getstate()
+    finally:
+        rng.setstate(saved)
+
+
 @pytest.mark.parametrize("cls, base", [
     (BivarPoly, parse_poly("x - 2*y + 1")),
     (UnivarPoly, UnivarPoly([1, -3, 2])),
@@ -359,14 +389,14 @@ def test_non_integral_coefficients_stay_fractions():
 
 def test_divisions_are_exact_on_integer_inputs():
     big = 10 ** 20 + 1  # big / 3 as a float is off by 1/3
-    bound = _root_bound(UnivarPoly([big, 3]))
+    bound = root_bound(UnivarPoly([big, 3]))
     assert type(bound) is Fraction and bound == 1 + Fraction(big, 3)
     q, r = UnivarPoly([0, big]).divmod(UnivarPoly([0, 3]))
     assert q.coeffs == (Fraction(big, 3),) and type(q.coeffs[0]) is Fraction and r.is_zero()
     assert UnivarPoly([0, big])(Fraction(1, 3)) == Fraction(big, 3)
     # beyond the float range a float division would overflow
     huge = 10 ** 400
-    assert _root_bound(UnivarPoly([huge, 1])) == huge + 1
+    assert root_bound(UnivarPoly([huge, 1])) == huge + 1
     for p, root in ((UnivarPoly([-big, 3]), Fraction(big, 3)),
                     (UnivarPoly([-huge, 3]), Fraction(huge, 3))):
         [iv] = isolate_real_roots(p)

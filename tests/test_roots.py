@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsinf.poly import UnivarPoly
-from bsinf.roots import RootInterval, isolate_real_roots, sign_variations, sturm_chain
+from bsinf.roots import RootInterval, _sign_at, isolate_real_roots, sign_variations, sturm_chain
 
 from conftest import brute_distinct_real_roots, squarefree
 
@@ -242,3 +243,48 @@ def test_integer_sturm_chain_matches_rational_remainders(case, points):
     reference = rational_sturm_chain(p)
     for t in points + roots:
         assert sign_variations(chain, t) == rational_sign_variations(reference, t), t
+
+
+def leading_term_variations(chain: list[UnivarPoly], side: int) -> int:
+    """Reference: sign variations of a Sturm chain at t = side*oo from the
+    signs of the leading terms there."""
+    signs = [q.leading() * side ** q.degree > 0 for q in chain]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@given(polys_and_rational_roots())
+@settings(max_examples=150, deadline=None)
+def test_variations_at_infinity_match_leading_terms(case):
+    p, _ = case
+    chain = sturm_chain(p)
+    for side, t in ((-1, -math.inf), (1, math.inf)):
+        assert sign_variations(chain, t) == leading_term_variations(chain, side)
+    # the difference counts the distinct real roots of p
+    assert (sign_variations(chain, -math.inf) - sign_variations(chain, math.inf)
+            == len(isolate_real_roots(p)))
+
+
+def fraction_sign(q: UnivarPoly, t: Fraction) -> int:
+    value = Fraction(0)
+    for c in reversed(q.coeffs):
+        value = value * t + c
+    return (value > 0) - (value < 0)
+
+
+huge_ints = st.one_of(st.integers(-50, 50),
+                      st.integers(-10 ** 40, 10 ** 40),
+                      st.integers(10 ** 399, 10 ** 401).map(lambda c: c * (-1) ** c))
+
+
+@given(st.lists(huge_ints, min_size=1, max_size=8),
+       st.one_of(st.fractions(-20, 20, max_denominator=10 ** 6),
+                 st.integers(-10 ** 400, 10 ** 400).map(lambda n: Fraction(n, 3 ** 500))))
+@settings(max_examples=200, deadline=None)
+def test_integer_sign_matches_fraction_evaluation(coeffs, t):
+    q = UnivarPoly(coeffs)
+    assert _sign_at(q, t) == fraction_sign(q, t)
+    # a root of q, put in as a linear factor, reads as sign 0
+    assert _sign_at(q * UnivarPoly([-t.numerator, t.denominator]), t) == 0
+    if not q.is_zero():
+        for side in (-1, 1):
+            assert _sign_at(q, side * math.inf) == (1 if q.leading() * side ** q.degree > 0 else -1)
