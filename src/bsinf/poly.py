@@ -8,8 +8,10 @@ on integer arithmetic alone.  `3 == Fraction(3)` and
 `hash(3) == hash(Fraction(3))`, so equality, hashing and caching do not see
 the difference.  Every division is exact; no floating point enters this
 module.  Printing and sign normalization use graded-lexicographic order
-(total degree, then exponent of the first variable).  sympy is imported
-only to factor what is neither a product nor a line or a nondegenerate conic.
+(total degree, then exponent of the first variable).  What is neither a
+product nor a line or a nondegenerate conic is factored by the package's
+own Hensel lifting in `bsinf.factor`, which builds on the list primitives
+below.
 
 Each univariate primitive has one implementation, on coefficient lists: one
 sum (with a sign), one product and one exact quotient in Z[t].  UnivarPoly
@@ -76,6 +78,11 @@ def _list_mul(a: Sequence, b: Sequence) -> list:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
+
+
+def _list_derivative(a: Sequence) -> list:
+    """The derivative of a."""
+    return [k * c for k, c in enumerate(a)][1:]
 
 
 def _int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -167,32 +174,8 @@ class UnivarPoly:
     def __pow__(self, n: int) -> UnivarPoly:
         return _power(self, n, UnivarPoly.constant(1))
 
-    def divmod(self, other: UnivarPoly) -> tuple[UnivarPoly, UnivarPoly]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lc = other.leading()
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            factor = _rational(Fraction(rem[-1], lc))  # exact, never a float
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UnivarPoly(q), UnivarPoly(rem)
-
     def derivative(self) -> UnivarPoly:
-        return UnivarPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, t) -> int | Fraction:
-        t = _rational(t)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return UnivarPoly(_list_derivative(self.coeffs))
 
     def primitive(self) -> UnivarPoly:
         """Scale by a positive rational so coefficients are coprime integers.
@@ -522,31 +505,6 @@ def _is_line_or_nondegenerate_conic(f: BivarPoly) -> bool:
     return 4 * a * c * g + b * d * e - a * e * e - c * d * d - g * b * b != 0
 
 
-def _sympy_factors(f: BivarPoly) -> set[BivarPoly]:
-    """The distinct irreducible factors of f from sympy's `factor_list`, each
-    canonically scaled.  sympy is imported here, the first time it is needed.
-
-    Wang's multivariate factoring draws evaluation points from sympy's
-    process-wide generator, which is seeded at random, and a bad draw can
-    make one factorization several times slower.  The generator is seeded
-    with 0 for the call, so a curve costs the same in every process, and the
-    caller's state is restored afterwards."""
-    import sympy
-    from sympy.core.random import rng
-
-    gens = sympy.symbols("x y")
-    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.items()}
-    poly = sympy.Poly.from_dict(rep, *gens, domain="QQ")
-    state = rng.getstate()
-    rng.seed(0)
-    try:
-        _, factors = poly.factor_list()
-    finally:
-        rng.setstate(state)
-    return {BivarPoly({e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
-            .normalized_primitive() for p, _ in factors}
-
-
 @functools.lru_cache(maxsize=1024)
 def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
     """Distinct irreducible factors of f over Q (multiplicities dropped),
@@ -555,16 +513,18 @@ def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
     A product (f carries pieces, see BivarPoly) is factored one piece at a
     time: factorization in Q[x, y] is unique, so the union of the pieces'
     irreducible factors is the factor set of their product.  A line, or a
-    conic with a nonzero determinant, is its own factor; anything else goes
-    to sympy's `factor_list`.  Results are cached on the terms of f, so a
-    curve counted and then reduced for the oracle is factored once.
+    conic with a nonzero determinant, is its own factor; anything else is
+    factored by Hensel lifting (`factor.bivariate_factors`).  Results are
+    cached on the terms of f, so a curve counted and then reduced for the
+    oracle is factored once.
     """
     if f._pieces:
         out = {g for piece in f._pieces for g in irreducible_factors(piece)}
     elif _is_line_or_nondegenerate_conic(f):
         out = {f.normalized_primitive()}
     else:
-        out = _sympy_factors(f)
+        from .factor import bivariate_factors  # factor builds on this module
+        out = bivariate_factors(f)
     return tuple(sorted(out, key=lambda g: sorted(g.terms.items())))
 
 

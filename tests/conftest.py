@@ -52,6 +52,26 @@ def random_unimodular(rng: random.Random, steps: int = 4) -> tuple[tuple[int, in
     return (tuple(m[0]), tuple(m[1]))
 
 
+def evaluate(p: UnivarPoly, t) -> Fraction:
+    """p at a rational t, by Horner's rule in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def divide(a: UnivarPoly, b: UnivarPoly) -> tuple[UnivarPoly, UnivarPoly]:
+    """Quotient and remainder of a by a nonzero b over Q, in Fractions."""
+    rem = [Fraction(c) for c in a.coeffs]
+    n = len(b.coeffs) - 1
+    q = [Fraction(0)] * max(0, len(rem) - n)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = rem[k + n] / b.coeffs[-1]
+        for i, cb in enumerate(b.coeffs):
+            rem[k + i] -= c * cb
+    return UnivarPoly(q), UnivarPoly(rem[:n])
+
+
 def squarefree(p: UnivarPoly) -> UnivarPoly:
     """The squarefree part of p, from sympy's `sqf_part`."""
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
@@ -108,13 +128,26 @@ def sylvester_resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
         for r in range(col + 1, size):
             for c in range(col + 1, size):
                 num = mat[r][c] * mat[col][col] - mat[r][col] * mat[col][c]
-                q, rem = num.divmod(prev)
+                q, rem = divide(num, prev)
                 assert rem.is_zero()
                 mat[r][c] = q
             mat[r][col] = UnivarPoly()
         prev = mat[col][col]
     det = mat[size - 1][size - 1]
     return det if sign == 1 else -det
+
+
+def factor_list_terms(f: BivarPoly) -> list:
+    """The distinct irreducible factors of f over Q from sympy's
+    `factor_list`, the reference, each primitive with a positive graded-lex
+    lead, as sorted lists of its terms."""
+    x, y = sympy.symbols("x y")
+    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.items()}
+    _, factors = sympy.Poly.from_dict(rep, x, y, domain="QQ").factor_list()
+    return sorted(sorted(BivarPoly({e: Fraction(int(c.p), int(c.q))
+                                    for e, c in p.as_dict().items()})
+                         .normalized_primitive().terms.items())
+                  for p, _ in factors)
 
 
 def germ_curve(germ: BivarPoly) -> BivarPoly:

@@ -223,12 +223,20 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_product_and_tuple_commands_import_neither_sympy_nor_numpy():
+def test_exact_commands_import_neither_sympy_nor_numpy():
     code = """if True:
         import json, sys
         from bsinf.cli import main
+        # (y - x - 1)*(y + x)*(x - 2), expanded
+        cubic = "x*y^2 - x^3 - 2*y^2 - x*y + x^2 + 2*y + 2*x"
+        # (x - 1)*(y - 2)*(x + y), expanded
+        lines = "x^2*y + x*y^2 - 2*x^2 - 3*x*y - y^2 + 2*x + 2*y"
         for argv, code in ((["realize", "1,3"], 0), (["normal-form", "--json", "1,1,2,2"], 0),
                            (["invariant", "(y - x - 1)*(y + x)"], 0),
+                           # expanded text, factored by the package itself
+                           (["invariant", cubic], 0), (["invariant", "y^2 - x^3"], 0),
+                           (["invariant", "x^2 - 2*x*y + y^2 - 1"], 0),
+                           (["equiv", cubic, lines], 0),
                            # the whole curve on one circle: nothing to factor
                            (["invariant", "--epsilon", "1/64", "y^2 - x^3"], 0),
                            # an irrational direction is refused before factoring

@@ -28,7 +28,13 @@ from bsinf.projective import (
 )
 from bsinf.roots import isolate_real_roots
 
-from conftest import affine_image, germ_curve, random_unimodular, trace_direction_counts
+from conftest import (
+    affine_image,
+    evaluate,
+    germ_curve,
+    random_unimodular,
+    trace_direction_counts,
+)
 
 W = BivarPoly.x()
 Z = BivarPoly.y()
@@ -328,12 +334,12 @@ def cross_matched_sectors(points, rotation):
     for iv in roots:
         lo, hi = iv.low, iv.high
         for point, (a, b), cross in zip(points, frames, crosses):
-            if iv.exact_point is not None and cross(lo) == 0:
+            if iv.exact_point is not None and evaluate(cross, lo) == 0:
                 plus = a * (1 - lo * lo) + 2 * b * lo > 0
-            elif iv.exact_point is None and cross(lo) * cross(hi) < 0:
+            elif iv.exact_point is None and evaluate(cross, lo) * evaluate(cross, hi) < 0:
                 # an irrational root r, so b != 0, and there the dot product
                 # is 2r(a^2 + b^2)/b: its sign is that of r*b
-                positive = lo >= 0 or (hi > 0 and cross(0) * cross(hi) < 0)
+                positive = lo >= 0 or (hi > 0 and evaluate(cross, 0) * evaluate(cross, hi) < 0)
                 plus = positive == (b > 0)
             else:
                 continue

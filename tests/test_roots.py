@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bsinf.poly import UnivarPoly
 from bsinf.roots import RootInterval, _sign_at, isolate_real_roots, sign_variations, sturm_chain
 
-from conftest import brute_distinct_real_roots, squarefree
+from conftest import brute_distinct_real_roots, evaluate, squarefree
 
 
 def refine(p: UnivarPoly, interval: RootInterval, max_width: Fraction) -> RootInterval:
@@ -18,11 +18,11 @@ def refine(p: UnivarPoly, interval: RootInterval, max_width: Fraction) -> RootIn
     if interval.exact_point is not None:
         return interval
     lo, hi = interval.low, interval.high
-    slo = p(lo)
-    assert slo != 0 and p(hi) != 0 and slo * p(hi) < 0, "not a sign-change bracket"
+    slo = evaluate(p, lo)
+    assert slo != 0 and evaluate(p, hi) != 0 and slo * evaluate(p, hi) < 0, "not a sign-change bracket"
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        smid = p(mid)
+        smid = evaluate(p, mid)
         if smid == 0:
             return RootInterval(mid, mid, mid)
         if slo * smid < 0:
@@ -101,7 +101,7 @@ def test_isolation_matches_sympy(p):
     sf = squarefree(p)
     for iv in ivs:
         if iv.exact_point is None:  # a sign change, with no rational root inside
-            assert sf(iv.low) * sf(iv.high) < 0
+            assert evaluate(sf, iv.low) * evaluate(sf, iv.high) < 0
             assert not any(iv.low <= q <= iv.high for q in rational)
     assert all(a.high < b.low for a, b in zip(ivs, ivs[1:]))
 
