@@ -16,15 +16,17 @@ chapters 14-16), on integer coefficient lists:
    where f(x, a) is squarefree.
 3. Specialise at the first of those a at which the squarefree part stays
    squarefree, and factor it there over Z by Zassenhaus: Cantor-Zassenhaus
-   modulo a prime p that keeps it squarefree, multifactor Hensel lifting past
-   the Mignotte bound, and recombination by trial division.
-4. Lift those factors (y - a)-adically over Q, by a tree of two-factor linear
-   lifts of monic factors, and recombine subsets of the lifted factors by
-   exact trial division in Z[y][x].  Of a subset and its complement, the one
-   of lower x-degree m is tested, so the lifting stops at y^(d // 2).  A
-   candidate is formed only up to y^m and is dropped without a division when
-   it has a term of total degree above m or a coefficient that is not an
-   integer: no factor does.
+   modulo the first odd prime p that divides no lead and keeps it
+   squarefree, multifactor Hensel lifting past the Mignotte bound, and
+   recombination by trial division.
+4. Lift those factors (y - a)-adically modulo p^K, in integers, by a tree of
+   two-factor linear lifts of monic factors, and recombine subsets of the
+   lifted factors by exact trial division in Z[y][x].  p^K exceeds twice a
+   bound B on the coefficients of every candidate (see `_factor_squarefree`).
+   Of a subset and its complement, the one of lower x-degree m is tested, so
+   the lifting stops at y^(d // 2).  A candidate is formed only up to y^m in
+   symmetric residues and is dropped without a division when it has a term
+   of total degree above m or a residue above B in size: no factor does.
 
 Every random choice comes from a `random.Random(0)` made for the call, and a
 factor set is unique, so the result and its cost are the same in every
@@ -219,6 +221,16 @@ def _gf_product(factors: list[list[int]], m: int) -> list[int]:
     return out
 
 
+def _bezout_step(mm: int, g, h, s, t):
+    """From s*g + t*h = 1 modulo m, h monic, deg s < deg h and deg t < deg g,
+    the same modulo mm, a divisor of m^2 (von zur Gathen and Gerhard,
+    Algorithm 15.10, steps 3 and 4)."""
+    b = _mod(_list_add(_list_add(_list_mul(s, g), _list_mul(t, h)), [1], -1), mm)
+    c, d = _mod_divmod(_list_mul(s, b), h, mm)
+    return (_mod(_list_add(s, d, -1), mm),
+            _mod(_list_add(t, _list_add(_list_mul(t, b), _list_mul(c, g)), -1), mm))
+
+
 def _hensel_step(m: int, f, g, h, s, t):
     """From f = g*h and s*g + t*h = 1 modulo m, h monic, deg s < deg h and
     deg t < deg g, the same modulo m^2 (von zur Gathen and Gerhard,
@@ -228,11 +240,7 @@ def _hensel_step(m: int, f, g, h, s, t):
     q, r = _mod_divmod(_list_mul(s, e), h, mm)
     g = _mod(_list_add(g, _list_add(_list_mul(t, e), _list_mul(q, g))), mm)
     h = _mod(_list_add(h, r), mm)
-    b = _mod(_list_add(_list_add(_list_mul(s, g), _list_mul(t, h)), [1], -1), mm)
-    c, d = _mod_divmod(_list_mul(s, b), h, mm)
-    s = _mod(_list_add(s, d, -1), mm)
-    t = _mod(_list_add(t, _list_add(_list_mul(t, b), _list_mul(c, g)), -1), mm)
-    return g, h, s, t
+    return (g, h) + _bezout_step(mm, g, h, s, t)
 
 
 def _hensel_lift(f: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
@@ -264,17 +272,22 @@ def _primes():
         n += 2
 
 
-def zassenhaus(u: list[int]) -> list[list[int]]:
+def _prime(u: list[int]) -> int:
+    """The first odd prime that does not divide the lead of u and modulo
+    which u stays squarefree."""
+    return next(p for p in _primes() if u[-1] % p and len(
+        _gf_gcd(_mod(u, p), _mod(_list_derivative(u), p), p)) == 1)
+
+
+def zassenhaus(u: list[int], p: int | None = None) -> list[list[int]]:
     """The irreducible factors in Z[x] of a primitive, squarefree u of
     positive degree with a positive lead, each primitive with a positive
     lead (von zur Gathen and Gerhard, Algorithm 15.19, with recombination by
-    trial division)."""
+    trial division), factored modulo p, by default `_prime(u)`."""
     n, lead = len(u) - 1, u[-1]
     if n == 1:
         return [u]
-    for p in _primes():
-        if lead % p and len(_gf_gcd(_mod(u, p), _mod(_list_derivative(u), p), p)) == 1:
-            break
+    p = p or _prime(u)
     modular = _gf_factor(_gf_monic(_mod(u, p), p), p, random.Random(0))
     if len(modular) == 1:
         return [u]
@@ -354,10 +367,10 @@ def _squarefree(f: list[list[int]]) -> tuple[list[list[int]], int]:
     a total degree e equal to its x-degree, so g(x, a) divides the gcd of
     f(x, a) and df/dx(x, a), and equals it up to the lead exactly when that
     gcd has degree e, which is when the squarefree part stays squarefree at
-    a.  The monic g is interpolated from the e + 1 first points of the
-    lowest degree seen, and it is the gcd once it divides both f and df/dx:
-    no common divisor has a higher degree.  A squarefree f is seen at its
-    first point of degree 0."""
+    a.  g, with an integer lead, is interpolated from the e + 1 first points
+    of the lowest degree seen, and it is the gcd once it divides both f and
+    df/dx: no common divisor has a higher degree.  A squarefree f is seen at
+    its first point of degree 0."""
     df = [[k * c for c in row] for k, row in enumerate(f)][1:]
     best: list[tuple[int, list[int]]] = []  # (a, gcd at a) of the lowest degree
     for a in _points():
@@ -371,8 +384,8 @@ def _squarefree(f: list[list[int]]) -> tuple[list[list[int]], int]:
         if len(g) == 1:
             return f, best[0][0]
         if len(best) == len(g):
-            xs = [a for a, _ in best]
-            rows = [_interpolate(xs, [Fraction(h[i], h[-1]) for _, h in best])
+            xs, lcm = [a for a, _ in best], math.lcm(*(h[-1] for _, h in best))
+            rows = [_interpolate(xs, [h[i] * (lcm // h[-1]) for _, h in best])
                     for i in range(len(g))]
             ints = iter(_primitive_ints(c for row in rows for c in row))
             g = [[next(ints) for _ in row] for row in rows]
@@ -382,66 +395,42 @@ def _squarefree(f: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# lifting over Q and recombination
+# lifting modulo a prime power and recombination
 # ---------------------------------------------------------------------------
 
-def _divmod_monic(a: list, m: list) -> tuple[list, list]:
-    """Quotient and remainder of a by a monic m."""
-    n = len(m) - 1
-    rem = list(a)
-    q = [0] * max(0, len(a) - n)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = c = rem[k + n]
-        if c:
-            for i, cm in enumerate(m):
-                rem[k + i] -= c * cm
-    return q, _trim(rem[:n])
-
-
-def _q_gcdex(a: list, b: list) -> tuple[list, list]:
-    """s, t over Q with s*a + t*b = 1, deg s < deg b and deg t < deg a,
-    for coprime a and b of positive degree."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        inv = Fraction(1) / r1[-1]  # r1 made monic
-        r1, s1, t1 = ([c * inv for c in v] for v in (r1, s1, t1))
-        q, r = _divmod_monic(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _list_add(s0, _list_mul(q, s1), -1)
-        t0, t1 = t1, _list_add(t0, _list_mul(q, t1), -1)
-    return s0, t0  # r0 = 1
-
-
-def _lift(series: list[list], factors: list[list]) -> list[list[list]]:
-    """The monic factors of a power series in y whose coefficient of y^0 is
-    the product of the given monic, pairwise coprime factors, to the same
-    precision: a binary tree of two-factor linear lifts."""
+def _lift(series: list[list[int]], factors: list[list[int]], p: int,
+          m: int) -> list[list[list[int]]]:
+    """The monic factors modulo m, a power of p, of a power series in y whose
+    coefficient of y^0 is the product of the given monic factors, pairwise
+    coprime modulo p, to the same precision: a binary tree of two-factor
+    linear lifts."""
     if len(factors) == 1:
         return [series]
     half = len(factors) // 2
-    g0, h0 = [1], [1]
-    for u in factors[:half]:
-        g0 = _list_mul(g0, u)
-    for u in factors[half:]:
-        h0 = _list_mul(h0, u)
-    s, t = _q_gcdex(g0, h0)
+    g0, h0 = _gf_product(factors[:half], m), _gf_product(factors[half:], m)
+    s, t = _gf_gcdex(_mod(g0, p), _mod(h0, p), p)
+    mm = p
+    while mm < m:
+        mm = min(mm * mm, m)
+        s, t = _bezout_step(mm, g0, h0, s, t)
     g, h = [g0], [h0]
     for k in range(1, len(series)):
         # e = g0*h_k + h0*g_k, solved with s*g0 + t*h0 = 1; deg e < deg g0*h0
         e = series[k]
         for i in range(1, k):
             e = _list_add(e, _list_mul(g[i], h[k - i]), -1)
-        g.append(_divmod_monic(_list_mul(t, e), g0)[1])
-        h.append(_divmod_monic(_list_mul(s, e), h0)[1])
-    return _lift(g, factors[:half]) + _lift(h, factors[half:])
+        g.append(_mod_divmod(_list_mul(t, e), g0, m)[1])
+        h.append(_mod_divmod(_list_mul(s, e), h0, m)[1])
+    return _lift(g, factors[:half], p, m) + _lift(h, factors[half:], p, m)
 
 
-def _candidate(lead: int, parts: list[list[list]]) -> list[list[int]] | None:
+def _candidate(lead: int, parts: list[list[list[int]]], modulus: int,
+               bound: int) -> list[list[int]] | None:
     """The primitive part of lead times the product of the lifted factors,
-    as an element of Z[y][x], when that has the shape of a factor: integer
-    coefficients and no term of total degree above its x-degree m.  It is
-    formed one power of y at a time up to y^m, so most candidates are
-    dropped early."""
+    as an element of Z[y][x], when that has the shape of a factor: no term
+    of total degree above its x-degree m, and symmetric residues modulo the
+    modulus of size at most the bound.  It is formed one power of y at a
+    time up to y^m, so most candidates are dropped early."""
     m = sum(len(part[0]) - 1 for part in parts)
     products = [[] for _ in parts]  # products[j]: parts[0] * ... * parts[j]
     rows: list[list[int]] = [[] for _ in range(m + 1)]
@@ -454,24 +443,20 @@ def _candidate(lead: int, parts: list[list[list]]) -> list[list[int]] | None:
             c = []
             for i in range(max(0, k - len(part) + 1), k + 1):
                 c = _list_add(c, _list_mul(prev[i], part[k - i]))
+            c = _mod(c, modulus)
             products[j].append(c)
         if len(c) > m - k + 1:
             return None
         for i in range(m - k + 1):
-            v = c[i] * lead if i < len(c) else 0
-            if type(v) is not int:
-                if v.denominator != 1:
-                    return None
-                v = v.numerator
+            v = c[i] * lead % modulus if i < len(c) else 0
+            if 2 * v > modulus:
+                v -= modulus
+            if abs(v) > bound:
+                return None
             rows[i].append(v)
     rows = [_trim(row) for row in rows]
     ints = iter(_primitive_ints(v for row in rows for v in row))
     return [[next(ints) for _ in row] for row in rows]
-
-
-def _monic(u: list[int]) -> list:
-    lead = u[-1]
-    return u if lead == 1 else [Fraction(c, lead) for c in u]
 
 
 def _factor_squarefree(f: list[list[int]], a: int) -> list[list[list[int]]]:
@@ -481,17 +466,31 @@ def _factor_squarefree(f: list[list[int]], a: int) -> list[list[list[int]]]:
     d = len(f) - 1
     if d == 1:
         return [f]
-    specialised = zassenhaus(_primitive([_horner(row, a) for row in f]))
+    u = [_horner(row, a) for row in f]
+    p = _prime(u)  # does not divide the lead of f, so the lift can use it
+    specialised = zassenhaus(_primitive(u), p)
     if len(specialised) == 1:
         return [f]
     shifted = [_taylor_shift(row, a) for row in f]
-    # a factor tested below has x-degree at most half that of f, hence no
-    # power of y above d // 2
-    precision = d // 2 + 1
     lead = f[-1][0]
-    series = [[Fraction(row[k], lead) if k < len(row) else 0 for row in shifted]
-              for k in range(precision)]
-    lifted = _lift([_trim(c) for c in series], [_monic(u) for u in specialised])
+    # Mahler (1962): a factor g of the shifted F in Z[x, y] has
+    # |g_ij| <= C(deg_x g, i) * C(deg_y g, j) * M(g), and the Mahler measure
+    # M is multiplicative and at least 1 on nonzero integer polynomials, so
+    # M(g) <= M(F) <= ||F||_2.  A candidate is (lead / lc_x g) * g, whose
+    # coefficients are thus at most lead * 2^(d + e) * ||F||_2 in size, for
+    # e = deg_y F; the modulus exceeds twice that, so a candidate's symmetric
+    # residues are its integer coefficients
+    e = max(len(row) for row in shifted) - 1
+    norm = math.isqrt(sum(c * c for row in shifted for c in row)) + 1
+    bound = abs(lead) * 2 ** (d + e) * norm
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= p
+    inv = pow(lead, -1, modulus)
+    # a factor tested below has x-degree, so y-degree, at most d // 2
+    series = [_mod([row[k] * inv if k < len(row) else 0 for row in shifted], modulus)
+              for k in range(d // 2 + 1)]
+    lifted = _lift(series, [_gf_monic(g, modulus) for g in specialised], p, modulus)
     factors, rest, size = [], shifted, 1
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
@@ -500,7 +499,7 @@ def _factor_squarefree(f: list[list[int]], a: int) -> list[list[list[int]]]:
             # test the side of lower x-degree; either one is a factor
             # exactly when the other is
             small = sum(len(g[0]) - 1 for g in inside) * 2 <= len(rest) - 1
-            g = _candidate(rest[-1][0], inside if small else outside)
+            g = _candidate(rest[-1][0], inside if small else outside, modulus, bound)
             q = None if g is None else _rows_divide(rest, g)
             if q is not None:
                 # the factor of the subset is irreducible: no smaller subset

@@ -2,6 +2,7 @@
 the reference."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -87,9 +88,47 @@ def test_expanded_products_match_factor_list(f):
     "x^2 + y^2", "x^4 + y^4 + 1",
     pytest.param("*".join(f"({k % 5 - 2}*x + {k // 5 + 1}*y + {k - 6})" for k in range(12)),
                  id="12 lines"),
+    # coefficients up to 10^25 in size and x-leads up to 10^12
+    "(999999999989*x^2 + 10^25*x*y - 3*10^24*y^2 + 7)"
+    "*(x - 123456789012345678901234*y + 10^25)",
+    "(10^12*x + 9876543210987654321098765*y - 1)*(x^2 - 10^25*y^2 + 2*x*y)"
+    "*(7*x^3 + 10^20*x*y^2 - 5*y^3 + 10^22)",
+    "(x^2 - 10^24*y - 4*10^24)*(x^2 - 3*10^22*y - 9*10^22)",
+    "(10^12*x^3 + 10^25*y^3 - x)*(5*x^3 - 10^25*x*y + 10^25*y^2 + x)",
+    # small, but its factor A + y, for A = x^13 - 2*x^12 + ... - 1 the product
+    # of the cyclotomic factors 1, 4, 8 and 14 of x^56 - 1, has a coefficient
+    # 7 while the curve's norm is below 6: the bound needs its factor 2^(d + e)
+    pytest.param("(x + 1)*(x^6 + x^5 + x^4 + x^3 + x^2 + x + 1)"
+                 "*(x^12 - x^10 + x^8 - x^6 + x^4 - x^2 + 1)"
+                 "*(x^24 - x^20 + x^16 - x^12 + x^8 - x^4 + 1)"
+                 "*((x - 1)*(x^2 + 1)*(x^4 + 1)*(x^6 - x^5 + x^4 - x^3 + x^2 - x + 1) + y)",
+                 id="factor above the norm"),
+    # the specialisations split into many factors: x^24 - 1 into eight
+    # cyclotomic ones over Z, and those further modulo p
+    "x^24 - y", "x^36 - y^2 - 1", "(x^24 - y)*(y - 2*x - 1)",
 ])
 def test_named_curves_match_factor_list(text):
     f = expanded(text)
+    assert split(f) == factor_list_terms(f)
+
+
+@st.composite
+def large_factors(draw):
+    """A line, conic or cubic with coefficients up to 10^25 in size and an
+    x-lead up to 10^12."""
+    degree = draw(st.integers(1, 3))
+    big = st.integers(-10 ** 25, 10 ** 25)
+    terms = {(i, j): draw(big) for i in range(degree + 1) for j in range(degree + 1 - i)}
+    terms[(degree, 0)] = draw(st.integers(1, 10 ** 12)) * draw(st.sampled_from([-1, 1]))
+    return BivarPoly(terms)
+
+
+@given(st.lists(large_factors(), min_size=2, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_large_coefficients_match_factor_list(factors):
+    # a candidate factor has coefficients near 10^37 here, far beyond a
+    # machine word, so a modulus below the coefficient bound reads them wrong
+    f = BivarPoly(math.prod(factors, start=BivarPoly.constant(1)).terms)
     assert split(f) == factor_list_terms(f)
 
 
