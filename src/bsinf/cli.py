@@ -25,7 +25,7 @@ from .invariant import (
     realize_tuple,
 )
 from .oracle import oracle_k
-from .parsing import parse_poly
+from .parsing import MAX_TERMS, parse_poly
 from .poly import BivarPoly, squarefree_part
 
 _TUPLE_RE = re.compile(r"^[\d\s,]+$")
@@ -40,7 +40,10 @@ def _read_curve_arg(arg: str) -> BivarPoly:
     return parse_poly(arg)
 
 
-def _read_tuple_arg(arg: str) -> KInvariant:
+def _read_tuple_arg(arg: str, degree) -> KInvariant:
+    """The tuple in arg.  It is refused when the curve the command builds
+    from it, of degree `degree(tuple)`, could have more terms than the
+    parser accepts in an input curve: C(d + 2, 2) > MAX_TERMS."""
     parts = [p.strip() for p in arg.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty tuple")
@@ -49,11 +52,25 @@ def _read_tuple_arg(arg: str) -> KInvariant:
         if not p.isdigit() or int(p) < 1:
             raise ValueError(f"tuple entries must be positive integers, got {p!r}")
         entries.append(int(p))
-    ordered = sorted(entries)
-    if ordered != entries:
-        print(f"warning: tuple reordered to ({', '.join(map(str, ordered))})",
-              file=sys.stderr)
-    return KInvariant(tuple(ordered))
+    eta = KInvariant(tuple(sorted(entries)))
+    d = degree(eta)
+    terms = math.comb(d + 2, 2)
+    if terms > MAX_TERMS:
+        raise ValueError(f"tuple too large: its curve would have degree {d}, so up to "
+                         f"{terms} terms, beyond the {MAX_TERMS} of an input curve")
+    if list(eta) != entries:
+        print(f"warning: tuple reordered to {eta}", file=sys.stderr)
+    return eta
+
+
+def _normal_form_degree(eta: KInvariant) -> int:
+    """r0 lines and r1 parabolas per pair of the descriptor."""
+    return sum(r0 + 2 * r1 for r0, r1 in canonical_descriptor(eta).pairs)
+
+
+def _realization_degree(eta: KInvariant) -> int:
+    """A line per pair of odd entries and e // 2 parabolas per entry e."""
+    return sum(e % 2 for e in eta) // 2 + 2 * sum(e // 2 for e in eta)
 
 
 def report_json_dict(report: InfinityReport) -> dict:
@@ -98,7 +115,10 @@ def render_report(report: InfinityReport, quiet: bool = False) -> str:
 
 def _cmd_invariant(args) -> int:
     f = _read_curve_arg(args.curve)
-    eps = Fraction(args.epsilon) if args.epsilon is not None else None
+    try:
+        eps = Fraction(args.epsilon) if args.epsilon is not None else None
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
     report = k_at_infinity(f, epsilon_override=eps)
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2))
@@ -123,8 +143,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_normal_form(args) -> int:
     if _TUPLE_RE.match(args.target):
-        eta = _read_tuple_arg(args.target)
-        descriptor = canonical_descriptor(eta)
+        descriptor = canonical_descriptor(_read_tuple_arg(args.target, _normal_form_degree))
     else:
         report = k_at_infinity(_read_curve_arg(args.target))
         descriptor = report.descriptor
@@ -140,7 +159,7 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    eta = _read_tuple_arg(args.tuple)
+    eta = _read_tuple_arg(args.tuple, _realization_degree)
     poly = realize_tuple(eta)
     achieved = k_at_infinity(poly).k
     verified = achieved == eta

@@ -32,10 +32,10 @@ Every random choice comes from a `random.Random(0)` made for the call, and a
 factor set is unique, so the result and its cost are the same in every
 process.
 
-A polynomial in x is a coefficient list, lowest power first, with no trailing
-zeros ([] is zero).  A polynomial in Z[y][x] is a list of rows: row i is the
-coefficient of x^i, itself a list in y.  A power series in y up to y^(N-1)
-with coefficients in Q[x] is a list of N polynomials in x.
+A polynomial in x is a coefficient list of `bsinf.poly`.  A polynomial in
+Z[y][x] is a list of rows: row i is the coefficient of x^i, itself a list in
+y.  A power series in y up to y^(N-1) with coefficients in Q[x] is a list of
+N polynomials in x.
 """
 
 from __future__ import annotations
@@ -48,17 +48,13 @@ from fractions import Fraction
 from .poly import (
     BivarPoly,
     _int_exact_div,
+    _int_pseudo_remainder,
     _list_add,
     _list_derivative,
     _list_mul,
     _primitive_ints,
+    _trim,
 )
-
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _horner(a, t):
@@ -86,16 +82,6 @@ def _primitive(a: list[int]) -> list[int]:
     return a if a[-1] > 0 else [-c for c in a]
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """The pseudo-remainder of a by b: lc(b)^k * a mod b, which is in Z[x]."""
-    n, lb = len(b) - 1, b[-1]
-    r = list(a)
-    while len(r) > n:
-        shifted = [0] * (len(r) - 1 - n) + [r[-1] * c for c in b]
-        r = _list_add([lb * c for c in r], shifted, -1)
-    return r
-
-
 def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
     """The gcd of the primitive parts of nonzero a and b in Z[x], primitive
     with a positive lead, by a primitive pseudo-remainder sequence."""
@@ -103,7 +89,7 @@ def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _prem(a, b)
+        r = _int_pseudo_remainder(a, b)
         a, b = b, (_primitive(r) if r else r)
     return a
 

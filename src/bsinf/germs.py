@@ -49,10 +49,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 
 from .errors import NonTransverseCircleError
-from .poly import BivarPoly, UnivarPoly, irreducible_factors, resultant
+from .poly import (
+    BivarPoly,
+    _list_add,
+    _list_mul,
+    _primitive_ints,
+    _trim,
+    irreducible_factors,
+    resultant,
+)
 from .projective import ProjPointAtInfinity, leading_form
 from .roots import _sign_at, isolate_real_roots, root_bound, sign_variations, sturm_chain
 
@@ -101,8 +110,8 @@ def circle_sectors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> Sectors:
     rotation = _rotation(leading_form(f))
     c, s, _ = _integer_rotation(rotation)
     frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
-    crosses = [UnivarPoly([-b, 2 * a, b]) for a, b in frames]
-    roots = isolate_real_roots(math.prod(crosses, start=UnivarPoly.constant(1)))
+    crosses = [[-b, 2 * a, b] for a, b in frames]
+    roots = isolate_real_roots(reduce(_list_mul, crosses, [1]))
     signed = [(side * a, side * b, point, side)
               for point, (a, b) in zip(points, frames) for side in (1, -1)]
     signed.sort(key=lambda d: (d[1] > 0, Fraction(-d[0], d[1])))
@@ -122,32 +131,33 @@ def _integer_rotation(rotation: tuple[Fraction, Fraction]) -> tuple[int, int, in
 # counting on one circle
 # ---------------------------------------------------------------------------
 
-def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> UnivarPoly:
-    """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius, times the
-    positive constant q^deg g that clears the denominators q of the rotation
-    and the radius: with them, p(t) = (X(t), Y(t))/(q*(1 + t^2)) for integer
+def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
+    """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius, times a
+    positive constant that makes it an integer polynomial: the one that makes
+    g primitive, times q^deg g for the denominators q of the rotation and the
+    radius, with which p(t) = (X(t), Y(t))/(q*(1 + t^2)) for integer
     polynomials X, Y.  A positive factor changes no sign, so no root, Sturm
     count or sector count."""
     a, b, q = _integer_rotation(sectors.rotation)
     a, b, q = a * radius.numerator, b * radius.numerator, q * radius.denominator
-    x = UnivarPoly([a, -2 * b, -a])
-    y = UnivarPoly([b, 2 * a, -b])
-    w = UnivarPoly([q, 0, q])
-    x_pows = [UnivarPoly.constant(1)]
+    x = _trim([a, -2 * b, -a])
+    y = _trim([b, 2 * a, -b])
+    w = [q, 0, q]
+    x_pows = [[1]]
     for _ in range(g.degree):
-        x_pows.append(x_pows[-1] * x)
-    parts: dict[int, dict[int, int | Fraction]] = {}
-    for (i, j), cf in g.items():
+        x_pows.append(_list_mul(x_pows[-1], x))
+    parts: dict[int, dict[int, int]] = {}
+    for (i, j), cf in zip(g.terms, _primitive_ints(g.terms.values())):
         parts.setdefault(i + j, {})[j] = cf
-    acc = UnivarPoly()
+    acc: list[int] = []
     for k in range(g.degree + 1):
         row = parts.get(k, {})
-        part = UnivarPoly()  # the degree-k part of g at (x, y), Horner in y
+        part: list[int] = []  # the degree-k part of g at (x, y), Horner in y
         for j in range(k, -1, -1):
-            part = part * y
+            part = _list_mul(part, y)
             if j in row:
-                part = part + x_pows[k - j].scale(row[j])
-        acc = acc * w + part
+                part = _list_add(part, [row[j] * c for c in x_pows[k - j]])
+        acc = _list_add(_list_mul(acc, w), part)
     return acc
 
 
@@ -158,12 +168,12 @@ def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> li
     {g = 0}, and ValueError when a curve point lies on a separator ray.
     """
     p = _restriction(g, radius, sectors)
-    if p.is_zero():
+    if not p:
         raise NonTransverseCircleError("the sample circle lies inside the curve")
     # the t^(2 deg g) coefficient of p is g(p(oo)), and chain[0], p made
     # primitive, has the roots of p
     chain = sturm_chain(p)
-    if p.degree < 2 * g.degree or any(_sign_at(chain[0], t) == 0 for t in sectors.separators):
+    if len(p) - 1 < 2 * g.degree or any(_sign_at(chain[0], t) == 0 for t in sectors.separators):
         raise ValueError("the circle meets the curve on a separator ray; "
                          "counts by sector are undefined at this radius")
     variations = [sign_variations(chain, t) for t in (-math.inf, *sectors.separators, math.inf)]
@@ -174,7 +184,7 @@ def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> li
 # certified radius
 # ---------------------------------------------------------------------------
 
-def _elim(a: BivarPoly, b: BivarPoly, var: str) -> UnivarPoly:
+def _elim(a: BivarPoly, b: BivarPoly, var: str) -> list[int]:
     """A nonzero univariate constraint (in the other variable) satisfied by
     the projections of all common zeros of a and b, which share no factor."""
     da, db = a.deg_in(var), b.deg_in(var)
@@ -183,7 +193,7 @@ def _elim(a: BivarPoly, b: BivarPoly, var: str) -> UnivarPoly:
     if db == 0:
         return b.subs_value(var, 0)
     r = resultant(a, b, var)
-    assert not r.is_zero(), "coprime inputs have a nonzero resultant"
+    assert r, "coprime inputs have a nonzero resultant"
     return r
 
 
@@ -215,7 +225,7 @@ def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
         along = [0] * (d + 1)
         for (i, j), cf in u.items():
             along[i + j] += cf * pa[i] * pb[j]
-        along = UnivarPoly([x * q ** (d - k) for k, x in enumerate(along)])
+        along = [x * q ** (d - k) for k, x in enumerate(along)]
         squares.append(root_bound(along) ** 2 * Fraction(a * a + b * b, q * q))
     bound = max(squares)
     radius = 1

@@ -13,11 +13,12 @@ product nor a line or a nondegenerate conic is factored by the package's
 own Hensel lifting in `bsinf.factor`, which builds on the list primitives
 below.
 
-Each univariate primitive has one implementation, on coefficient lists: one
-sum (with a sign), one product and one exact quotient in Z[t].  UnivarPoly
-wraps the sum and the product, the Bareiss resultant calls all three
-directly, and Sturm chains divide by their gcd with the quotient.  One
-square-and-multiply serves the powers of both polynomial types.
+A univariate polynomial is a plain coefficient list (see the list section
+below), and each primitive on them has one implementation: one sum (with a
+sign), one product, one derivative, one exact quotient and one
+sign-preserving pseudo-remainder in Z[t].  The Bareiss resultant, the Sturm
+chains of `bsinf.roots`, the circle polynomials of `bsinf.germs` and the
+factoring of `bsinf.factor` all run on them.
 """
 
 from __future__ import annotations
@@ -55,17 +56,24 @@ def _primitive_ints(coeffs: Iterable[int | Fraction]) -> list[int]:
 # univariate polynomials (dense)
 # ---------------------------------------------------------------------------
 #
-# A coefficient list holds a univariate polynomial, lowest power first, with
-# no trailing zeros; [] is zero.
+# A univariate polynomial is a coefficient list: entry k is the coefficient
+# of t^k, lowest power first, with no trailing zeros, so [] is zero and the
+# degree is len - 1.  An entry is an int when it is integral and a Fraction
+# otherwise, as for every coefficient in this module.
+
+def _trim(a: list) -> list:
+    """a without its trailing zeros, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
 
 def _list_add(a: Sequence, b: Sequence, sign: int = 1) -> list:
     """a + sign*b, with no trailing zeros."""
     out = list(a) + [0] * (len(b) - len(a))
     for k, c in enumerate(b):
         out[k] += sign * c
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 def _list_mul(a: Sequence, b: Sequence) -> list:
@@ -102,105 +110,23 @@ def _int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q
 
 
-def _power(base, n: int, one):
-    """base^n by square-and-multiply, for base of a type with `*` and its
-    unit `one`."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:  # no square after the last bit
-            base = base * base
-    return result
-
-
-class UnivarPoly:
-    """Dense univariate polynomial; coeffs[k] is the coefficient of t^k, an
-    int when it is integral and a Fraction otherwise."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def constant(cls, c) -> UnivarPoly:
-        return cls([c])
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def leading(self) -> int | Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnivarPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> UnivarPoly:
-        return UnivarPoly([-c for c in self.coeffs])
-
-    def __add__(self, other: UnivarPoly) -> UnivarPoly:
-        return UnivarPoly(_list_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: UnivarPoly) -> UnivarPoly:
-        return UnivarPoly(_list_add(self.coeffs, other.coeffs, -1))
-
-    def __mul__(self, other: UnivarPoly) -> UnivarPoly:
-        return UnivarPoly(_list_mul(self.coeffs, other.coeffs))
-
-    def scale(self, c) -> UnivarPoly:
-        c = _rational(c)
-        return UnivarPoly([c * a for a in self.coeffs])
-
-    def __pow__(self, n: int) -> UnivarPoly:
-        return _power(self, n, UnivarPoly.constant(1))
-
-    def derivative(self) -> UnivarPoly:
-        return UnivarPoly(_list_derivative(self.coeffs))
-
-    def primitive(self) -> UnivarPoly:
-        """Scale by a positive rational so coefficients are coprime integers.
-
-        The scaling is positive, so sign patterns (hence Sturm variations) are
-        preserved.
-        """
-        if self.is_zero():
-            return self
-        return UnivarPoly(_primitive_ints(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"UnivarPoly({list(self.coeffs)})"
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            body = _format_monomial(c, (("t", k),), leading=not parts)
-            parts.append(body)
-        return " ".join(parts)
+def _int_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """|lc b|^k * (a mod b) for some k >= 0, for a and b in Z[t]: long
+    division of a by b in which each step first scales the remainder by
+    |lc b|, so that the step's quotient coefficient is an integer and no
+    division occurs.  The scaling is positive, so the result is a positive
+    multiple of the rational remainder."""
+    rem, n = list(a), len(b) - 1
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while len(rem) > n:
+        k = len(rem) - 1 - n
+        top = sign * rem.pop()  # the new top, |lc b| * top - sign * top * lc b, is 0
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[k + i] -= top * c
+        _trim(rem)
+    return rem
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +276,17 @@ class BivarPoly:
         return BivarPoly({e: c * a for e, a in self._terms.items()})
 
     def __pow__(self, n: int) -> BivarPoly:
-        return _power(self, n, BivarPoly.constant(1))
+        """self^n by square-and-multiply."""
+        if n < 0:
+            raise ValueError("negative power")
+        result, base = BivarPoly.constant(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
+        return result
 
     def partial(self, var: str) -> BivarPoly:
         k = 0 if var == "x" else 1
@@ -387,8 +323,9 @@ class BivarPoly:
             acc = acc + (xp[i] * yp[j]).scale(c)
         return acc
 
-    def coeffs_in(self, var: str) -> list[UnivarPoly]:
-        """Coefficients as polynomials in the other variable, index = power of var."""
+    def coeffs_in(self, var: str) -> list[list[int | Fraction]]:
+        """Coefficients as coefficient lists in the other variable, index =
+        power of var."""
         k = 0 if var == "x" else 1
         n = self.deg_in(var)
         rows: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
@@ -396,16 +333,9 @@ class BivarPoly:
             e = (i, j)[k]
             o = (i, j)[1 - k]
             rows[e][o] = c
-        out = []
-        for row in rows:
-            if row:
-                m = max(row)
-                out.append(UnivarPoly([row.get(t, 0) for t in range(m + 1)]))
-            else:
-                out.append(UnivarPoly())
-        return out
+        return [[row.get(t, 0) for t in range(max(row, default=-1) + 1)] for row in rows]
 
-    def subs_value(self, var: str, value) -> UnivarPoly:
+    def subs_value(self, var: str, value) -> list[int | Fraction]:
         """Evaluate one variable at a rational, leaving a univariate polynomial."""
         value = _rational(value)
         out: dict[int, int | Fraction] = {}
@@ -418,10 +348,7 @@ class BivarPoly:
                 out[o] = s
             else:
                 out.pop(o, None)
-        if not out:
-            return UnivarPoly()
-        m = max(out)
-        return UnivarPoly([out.get(t, 0) for t in range(m + 1)])
+        return [_rational(out.get(t, 0)) for t in range(max(out, default=-1) + 1)]
 
     def normalized_primitive(self) -> BivarPoly:
         """Scale so coefficients are coprime integers with positive graded-lex lead."""
@@ -536,12 +463,12 @@ def _integer_rows(f: BivarPoly, var: str) -> tuple[list[list[int]], int]:
     """The coefficients of d*f in var, highest power first, as integer
     polynomials in the other variable, and the common denominator d."""
     rows = f.coeffs_in(var)
-    d = math.lcm(*(c.denominator for r in rows for c in r.coeffs))
-    return [[c.numerator * (d // c.denominator) for c in r.coeffs]
+    d = math.lcm(*(c.denominator for r in rows for c in r))
+    return [[c.numerator * (d // c.denominator) for c in r]
             for r in reversed(rows)], d
 
 
-def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
+def resultant(f: BivarPoly, g: BivarPoly, var: str) -> list[int | Fraction]:
     """Sylvester resultant eliminating `var`, as a polynomial in the other
     variable: the determinant of the Sylvester matrix of f and g (deg g rows
     of f's coefficients, then deg f rows of g's), by Bareiss's fraction-free
@@ -564,7 +491,7 @@ def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
     for k in range(size - 1):
         pivot = next((r for r in range(k, size) if mat[r][k]), None)
         if pivot is None:
-            return UnivarPoly()
+            return []
         if pivot != k:
             mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
@@ -579,4 +506,4 @@ def resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
     # res(df*f, dg*g) = df^n * dg^m * res(f, g)
     det = [sign * c for c in mat[-1][-1]]
     scale = df ** n * dg ** m
-    return UnivarPoly(det if scale == 1 else [Fraction(c, scale) for c in det])
+    return det if scale == 1 else [_rational(Fraction(c, scale)) for c in det]

@@ -86,9 +86,9 @@ def points_at_infinity(f: BivarPoly) -> list[ProjPointAtInfinity]:
     points = []
     # the root [0 : 1] corresponds to a missing y^d term
     restricted = lf.subs_value("x", 1)  # lf(1, t) with t the slope y/x
-    if restricted.degree < d:
+    if len(restricted) - 1 < d:
         points.append(ProjPointAtInfinity((0, 1)))
-    if restricted.degree >= 1:
+    if len(restricted) > 1:
         for iv in isolate_real_roots(restricted):
             if iv.exact_point is None:
                 raise IrrationalDirectionError(

@@ -1,4 +1,5 @@
-"""Certified real-root tools for univariate polynomials over Q.
+"""Certified real-root tools for univariate polynomials over Q, given as
+the coefficient lists of `bsinf.poly`.
 
 Sturm-sequence sign-variation counting and bisection.  Rational roots are
 found exactly without factoring, and isolating intervals of the other roots
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import UnivarPoly, _int_exact_div
+from .poly import _int_exact_div, _int_pseudo_remainder, _list_derivative, _primitive_ints
 
 
 @dataclass(frozen=True)
@@ -40,27 +41,7 @@ class RootInterval:
         return self.high - self.low
 
 
-def _negated_pseudo_remainder(a: UnivarPoly, b: UnivarPoly) -> UnivarPoly:
-    """-|lc b|^k * (a mod b) for some k >= 0, for a and b with integer
-    coefficients: long division of a by b in which each step first scales
-    the remainder by |lc b|, so that the step's quotient coefficient is an
-    integer and no division occurs."""
-    rem, b = list(a.coeffs), b.coeffs
-    n = len(b) - 1
-    lead = abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
-    while len(rem) > n:
-        k = len(rem) - 1 - n
-        top = sign * rem.pop()  # the new top, |lc b| * top - sign * top * lc b, is 0
-        rem = [lead * c for c in rem]
-        for i, c in enumerate(b[:-1]):
-            rem[k + i] -= top * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return UnivarPoly([-c for c in rem])
-
-
-def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
+def sturm_chain(p: list) -> list[list[int]]:
     """Sturm chain of the squarefree part of p, with coprime integer
     coefficients.
 
@@ -74,27 +55,27 @@ def sturm_chain(p: UnivarPoly) -> list[UnivarPoly]:
     So every element, hence every sign variation, is that of the rational
     remainder sequence renormalized by positive factors.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
-    chain = [p.primitive()]
-    d = chain[0].derivative()
-    if d.is_zero():
+    chain = [_primitive_ints(p)]
+    d = _list_derivative(chain[0])
+    if not d:
         return chain
-    chain.append(d.primitive())
+    chain.append(_primitive_ints(d))
     while True:
-        r = _negated_pseudo_remainder(chain[-2], chain[-1])
-        if r.is_zero():
+        r = _int_pseudo_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(r.primitive())
-    if chain[-1].degree > 0:
+        chain.append(_primitive_ints([-c for c in r]))
+    if len(chain[-1]) > 1:
         # q and g are primitive, so by Gauss's lemma q/g is an integer
         # polynomial, and a primitive one
-        g = chain[-1].coeffs
-        chain = [UnivarPoly(_int_exact_div(q.coeffs, g)) for q in chain]
+        g = chain[-1]
+        chain = [_int_exact_div(q, g) for q in chain]
     return chain
 
 
-def _sign_at(q: UnivarPoly, t: Fraction | float) -> int:
+def _sign_at(q: list[int], t: Fraction | float) -> int:
     """Sign of q(t) for q with integer coefficients and t rational or
     +-math.inf, on integers: with t = a/b, b > 0, it is the sign of
     b^n q(t), the sum of c_k a^k b^(n-k).  t = +-oo is taken as a = +-1,
@@ -104,27 +85,28 @@ def _sign_at(q: UnivarPoly, t: Fraction | float) -> int:
     else:
         a, b = t.numerator, t.denominator
     acc, b_power = 0, 1
-    for c in reversed(q.coeffs):
+    for c in reversed(q):
         acc = acc * a + c * b_power
         b_power *= b
     return (acc > 0) - (acc < 0)
 
 
-def sign_variations(chain: list[UnivarPoly], t: Fraction | float) -> int:
+def sign_variations(chain: list[list[int]], t: Fraction | float) -> int:
     """Sign variations of a Sturm chain (integer coefficients) at t, a
     rational or +-math.inf."""
     signs = [s for s in (_sign_at(q, t) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def root_bound(p: UnivarPoly) -> Fraction:
-    """Cauchy's bound 1 + max |c_k/c_n| on the real roots of p; 0 without roots."""
-    if p.degree <= 0:
+def root_bound(p: list[int]) -> Fraction:
+    """Cauchy's bound 1 + max |c_k/c_n| on the real roots of p, in Z[t]; 0
+    without roots."""
+    if len(p) <= 1:
         return Fraction(0)
-    return 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading()))
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
-def _isolate_one(sf: UnivarPoly, chain: list[UnivarPoly], lo: Fraction, hi: Fraction,
+def _isolate_one(sf: list[int], chain: list[list[int]], lo: Fraction, hi: Fraction,
                  v_hi: int, lead: int) -> RootInterval:
     """The root of sf in (lo, hi], its only one: an exact point if it is
     rational, else an interval with no root at either end.
@@ -162,7 +144,7 @@ def _isolate_one(sf: UnivarPoly, chain: list[UnivarPoly], lo: Fraction, hi: Frac
             lo = t
 
 
-def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
+def isolate_real_roots(p: list) -> list[RootInterval]:
     """Pairwise-disjoint isolating intervals, one per distinct real root of p,
     sorted by low endpoint; rational roots come back as exact points.
 
@@ -170,13 +152,13 @@ def isolate_real_roots(p: UnivarPoly) -> list[RootInterval]:
     counts of half-open intervals, until each holds one root; neighbours
     that meet at a bisection point are then pulled apart about it.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
     chain = sturm_chain(p)
     sf = chain[0]  # the squarefree part of p, up to a nonzero factor
-    if sf.degree <= 0:
+    if len(sf) <= 1:
         return []
-    lead = abs(sf.leading())
+    lead = abs(sf[-1])
     cauchy = root_bound(sf)
     bound = Fraction(1)
     while bound <= cauchy:

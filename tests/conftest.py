@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
-from bsinf.poly import BivarPoly, UnivarPoly
+from bsinf.poly import BivarPoly, _list_add, _list_mul, _trim
 
 
 def even_sum_tuples(max_entry: int, max_len: int) -> list[tuple[int, ...]]:
@@ -52,43 +52,43 @@ def random_unimodular(rng: random.Random, steps: int = 4) -> tuple[tuple[int, in
     return (tuple(m[0]), tuple(m[1]))
 
 
-def evaluate(p: UnivarPoly, t) -> Fraction:
-    """p at a rational t, by Horner's rule in Fractions."""
+def evaluate(p: list, t) -> Fraction:
+    """The coefficient list p at a rational t, by Horner's rule in Fractions."""
     acc = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * t + c
     return acc
 
 
-def divide(a: UnivarPoly, b: UnivarPoly) -> tuple[UnivarPoly, UnivarPoly]:
+def divide(a: list, b: list) -> tuple[list, list]:
     """Quotient and remainder of a by a nonzero b over Q, in Fractions."""
-    rem = [Fraction(c) for c in a.coeffs]
-    n = len(b.coeffs) - 1
+    rem = [Fraction(c) for c in a]
+    n = len(b) - 1
     q = [Fraction(0)] * max(0, len(rem) - n)
     for k in range(len(q) - 1, -1, -1):
-        q[k] = c = rem[k + n] / b.coeffs[-1]
-        for i, cb in enumerate(b.coeffs):
+        q[k] = c = rem[k + n] / b[-1]
+        for i, cb in enumerate(b):
             rem[k + i] -= c * cb
-    return UnivarPoly(q), UnivarPoly(rem[:n])
+    return q, _trim(rem[:n])
 
 
-def squarefree(p: UnivarPoly) -> UnivarPoly:
+def squarefree(p: list) -> list[Fraction]:
     """The squarefree part of p, from sympy's `sqf_part`."""
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
     sf = sympy.Poly(coeffs, sympy.Symbol("t")).sqf_part()
-    return UnivarPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sf.all_coeffs())])
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(sf.all_coeffs())]
 
 
-def brute_distinct_real_roots(p: UnivarPoly) -> int:
+def brute_distinct_real_roots(p: list) -> int:
     """Independent root counter: fine grid sign scan of the squarefree part
     over [-B, B] with B a root bound."""
     sf = squarefree(p)
-    if sf.degree <= 0:
+    if len(sf) <= 1:
         return 0
-    lc = abs(sf.leading())
-    bound = float(1 + max(abs(c) for c in sf.coeffs) / lc) + 1.0
+    lc = abs(sf[-1])
+    bound = float(1 + max(abs(c) for c in sf) / lc) + 1.0
     xs = np.linspace(-bound, bound, 2 ** 20 + 1)
-    coeffs = [float(c) for c in sf.coeffs]
+    coeffs = [float(c) for c in sf]
     vals = np.zeros_like(xs)
     for c in reversed(coeffs):
         vals = vals * xs + c
@@ -100,15 +100,14 @@ def brute_distinct_real_roots(p: UnivarPoly) -> int:
     return zero_runs + flips
 
 
-def sylvester_resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
+def sylvester_resultant(f: BivarPoly, g: BivarPoly, var: str) -> list:
     """Reference resultant: the Sylvester determinant expanded by fraction-free
     Gaussian elimination over polynomials in the other variable."""
     fr = f.coeffs_in(var)
     gr = g.coeffs_in(var)
     m, n = len(fr) - 1, len(gr) - 1
     size = m + n
-    one = UnivarPoly.constant(1)
-    mat = [[UnivarPoly() for _ in range(size)] for _ in range(size)]
+    mat = [[[] for _ in range(size)] for _ in range(size)]
     for row in range(n):
         for k, c in enumerate(reversed(fr)):
             mat[row][row + k] = c
@@ -116,25 +115,26 @@ def sylvester_resultant(f: BivarPoly, g: BivarPoly, var: str) -> UnivarPoly:
         for k, c in enumerate(reversed(gr)):
             mat[n + row][row + k] = c
     # Bareiss elimination; exact division at each step
-    prev = one
+    prev = [1]
     sign = 1
     for col in range(size - 1):
-        pivot_row = next((r for r in range(col, size) if not mat[r][col].is_zero()), None)
+        pivot_row = next((r for r in range(col, size) if mat[r][col]), None)
         if pivot_row is None:
-            return UnivarPoly()
+            return []
         if pivot_row != col:
             mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
             sign = -sign
         for r in range(col + 1, size):
             for c in range(col + 1, size):
-                num = mat[r][c] * mat[col][col] - mat[r][col] * mat[col][c]
+                num = _list_add(_list_mul(mat[r][c], mat[col][col]),
+                                _list_mul(mat[r][col], mat[col][c]), -1)
                 q, rem = divide(num, prev)
-                assert rem.is_zero()
+                assert not rem
                 mat[r][c] = q
-            mat[r][col] = UnivarPoly()
+            mat[r][col] = []
         prev = mat[col][col]
     det = mat[size - 1][size - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else [-c for c in det]
 
 
 def factor_list_terms(f: BivarPoly) -> list:

@@ -2,12 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from bsinf.cli import main
-from bsinf.invariant import KInvariant, NormalFormDescriptor, k_at_infinity
+from bsinf.cli import _normal_form_degree, _realization_degree, main
+from bsinf.invariant import (
+    KInvariant,
+    NormalFormDescriptor,
+    canonical_descriptor,
+    emit_normal_form,
+    k_at_infinity,
+    realize_tuple,
+)
 from bsinf.parsing import parse_poly
+
+from conftest import even_sum_tuples
 
 
 def run(capsys, *argv):
@@ -107,6 +117,34 @@ def test_realize(capsys):
     assert run(capsys, "realize", "1,1,1")[0] == 3
 
 
+@pytest.mark.parametrize("argv", [["normal-form", "100000"], ["realize", "100000"],
+                                  ["realize", "1,99999"]],
+                         ids=["normal-form", "realize", "realize-pair"])
+def test_huge_tuples_fail_fast(capsys, argv):
+    # their curves would have degree above 88, C(90, 2) = 4005 <= MAX_TERMS
+    # terms: more than an input curve may have
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_tuples_of_degree_88_are_built(capsys):
+    code, out, _ = run(capsys, "normal-form", "--json", "88")
+    assert code == 0 and json.loads(out)["k"] == [88]
+    code, out, _ = run(capsys, "realize", "--json", "44,44")
+    assert code == 0 and json.loads(out)["verified"]
+
+
+def test_refused_degree_is_the_degree_of_the_built_curve():
+    for t in even_sum_tuples(4, 4):
+        eta = KInvariant(t)
+        assert emit_normal_form(canonical_descriptor(eta)).degree == _normal_form_degree(eta)
+        assert realize_tuple(eta).degree == _realization_degree(eta)
+
+
 def test_check_agrees(capsys):
     code, out, _ = run(capsys, "check", "y^2 - x^3")
     assert code == 0 and "AGREE" in out
@@ -177,7 +215,7 @@ def test_epsilon_on_separator_exits_1(capsys):
 def test_invalid_epsilon_exits_1(capsys):
     # bounded curves too: epsilon is checked before the points at infinity,
     # and an empty value is no epsilon, not a silent certified count
-    for epsilon in ("-1", "0", ""):
+    for epsilon in ("-1", "0", "", "1/0"):
         for curve in ("x^2 + y^2 - 1", "y^2 - x^3"):
             code, out, err = run(capsys, "invariant", f"--epsilon={epsilon}", curve)
             assert code == 1 and out == ""

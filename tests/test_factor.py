@@ -10,7 +10,7 @@ import sys
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsinf import factor, poly
@@ -190,6 +190,40 @@ def test_zassenhaus_matches_factor_list(u):
 ])
 def test_zassenhaus_named(u):
     assert sorted(factor.zassenhaus(u)) == reference_zx(u)
+
+
+@st.composite
+def products_with_a_shared_factor(draw):
+    """Two products in Z[x] of small factors, often with negative leads, that
+    share one or two factors, times contents of either sign, as coefficient
+    lists: the pseudo-remainders of their gcd divide by negative leads."""
+    x = sympy.Symbol("x")
+
+    def product(n):
+        p = sympy.Poly(draw(st.sampled_from([-4, -1, 1, 3])), x)
+        for _ in range(n):
+            lead = draw(st.sampled_from([-3, -2, -1, 1, 2]))
+            p *= sympy.Poly([lead] + draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)), x)
+        return p
+
+    shared = product(draw(st.integers(1, 2)))
+    a = shared * product(draw(st.integers(0, 2)))
+    b = shared * product(draw(st.integers(0, 2)))
+    return [[int(c) for c in reversed(p.all_coeffs())] for p in (a, b)]
+
+
+@given(products_with_a_shared_factor())
+@example([[1, -1], [-1, 0, 1]])  # 1 - x and x^2 - 1: the remainder vanishes at once
+@settings(max_examples=100, deadline=None)
+def test_zx_gcd_matches_sympy(pair):
+    a, b = pair
+    x = sympy.Symbol("x")
+    pa, pb = (sympy.Poly(list(reversed(p)), x) for p in (a, b))
+    _, g = sympy.gcd(pa, pb).primitive()
+    expected = [int(c) for c in reversed(g.all_coeffs())]
+    if expected[-1] < 0:
+        expected = [-c for c in expected]
+    assert factor._zx_gcd(a, b) == expected
 
 
 CURVE = "(y^2 - x^3 - 1)*(x^2*y - y^3 + 2)*(x^4 - 10*x^2*y^2 + y^4 + x)"

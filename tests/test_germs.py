@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -19,7 +20,7 @@ from bsinf.germs import (
 )
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, UnivarPoly, squarefree_part
+from bsinf.poly import BivarPoly, _list_mul, squarefree_part
 from bsinf.projective import (
     ProjPointAtInfinity,
     direction_pair,
@@ -328,8 +329,8 @@ def cross_matched_sectors(points, rotation):
     reading the side from the sign of the dot product with (1 - t^2, 2t)."""
     c, s = rotation
     frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
-    crosses = [UnivarPoly([-b, 2 * a, b]) for a, b in frames]
-    roots = isolate_real_roots(math.prod(crosses, start=UnivarPoly.constant(1)))
+    crosses = [[-b, 2 * a, b] for a, b in frames]
+    roots = isolate_real_roots(functools.reduce(_list_mul, crosses, [1]))
     labels = []
     for iv in roots:
         lo, hi = iv.low, iv.high
