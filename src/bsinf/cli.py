@@ -49,7 +49,8 @@ def _read_tuple_arg(arg: str, degree) -> KInvariant:
         raise ValueError("empty tuple")
     entries = []
     for p in parts:
-        if not p.isdigit() or int(p) < 1:
+        # isdigit() alone also takes '²' or '٢', which int() refuses or reads
+        if not (p.isascii() and p.isdigit()) or int(p) < 1:
             raise ValueError(f"tuple entries must be positive integers, got {p!r}")
         entries.append(int(p))
     eta = KInvariant(tuple(sorted(entries)))

@@ -133,6 +133,26 @@ def _int_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # bivariate polynomials (sparse)
 # ---------------------------------------------------------------------------
 
+def _add_into(acc: dict, terms: Mapping, negate: bool = False) -> dict:
+    """acc + terms (acc - terms if negate), in place, dropping the sums that
+    vanish.  The coefficients of terms are nonzero."""
+    get = acc.get
+    for e, c in terms.items():
+        s = get(e, 0) - c if negate else get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
+
+
+def _canonical_terms(terms: Mapping) -> dict:
+    """terms without its zero coefficients and with each integral Fraction
+    as an int: a sum or product of non-integral Fractions can be integral."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
+
+
 def _gradlex_key(exp: tuple[int, int]) -> tuple[int, int]:
     # graded-lex with y as the distinguished variable: "y^2 - x^3", "y - x"
     i, j = exp
@@ -166,6 +186,18 @@ class BivarPoly:
         self._terms = clean
         self._hash: int | None = None
         self._pieces: tuple[BivarPoly, ...] = ()
+
+    @classmethod
+    def _canonical(cls, terms: dict[tuple[int, int], int | Fraction],
+                   pieces: tuple[BivarPoly, ...] = ()) -> BivarPoly:
+        """A polynomial that takes over `terms`, which must already be
+        canonical: nonzero coefficients, an int where integral, on pairs of
+        nonnegative ints.  Nothing is checked or copied."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        out._pieces = pieces
+        return out
 
     # -- construction helpers ------------------------------------------------
 
@@ -234,40 +266,27 @@ class BivarPoly:
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self) -> BivarPoly:
-        out = BivarPoly({e: -c for e, c in self._terms.items()})
-        out._pieces = self._pieces
-        return out
+        return BivarPoly._canonical({e: -c for e, c in self._terms.items()}, self._pieces)
 
     def __add__(self, other: BivarPoly) -> BivarPoly:
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return BivarPoly(out)
+        return BivarPoly._canonical(_canonical_terms(_add_into(dict(self._terms), other._terms)))
 
     def __sub__(self, other: BivarPoly) -> BivarPoly:
-        return self + (-other)
+        return BivarPoly._canonical(
+            _canonical_terms(_add_into(dict(self._terms), other._terms, negate=True)))
 
     def __mul__(self, other: BivarPoly) -> BivarPoly:
         if not self._terms or not other._terms:
             return BivarPoly()
         out: dict[tuple[int, int], int | Fraction] = {}
+        get = out.get
         for (i, j), c in self._terms.items():
             for (k, l), d in other._terms.items():
                 e = (i + k, j + l)
-                s = out.get(e, 0) + c * d
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        product = BivarPoly(out)
+                out[e] = get(e, 0) + c * d
         pieces = [p for f in (self, other) if not f.is_constant()
                   for p in (f._pieces or (f,))]
-        product._pieces = tuple(dict.fromkeys(pieces))
-        return product
+        return BivarPoly._canonical(_canonical_terms(out), tuple(dict.fromkeys(pieces)))
 
     def scale(self, c) -> BivarPoly:
         c = _rational(c)

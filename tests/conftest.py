@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 import sympy
 
+from bsinf.errors import DegreeZeroError, ParseError, ZeroPolynomialError
+from bsinf.parsing import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from bsinf.poly import BivarPoly, _list_add, _list_mul, _trim
 
 
@@ -197,6 +199,154 @@ def trace_direction_counts(g: BivarPoly, radius: float, directions,
                       + d.unit[1] * math.sin(theta))
         counts[nearest.rep] = counts.get(nearest.rep, 0) + 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# reference parser: a BivarPoly for every number, variable and power, and a
+# new polynomial at every '+', '-' and '*', with the bounds of
+# bsinf.parsing checked at the same places (sums are not bounded here)
+# ---------------------------------------------------------------------------
+
+def _reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("number", text[i:j], i))
+            i = j
+        elif ch in "xy":
+            tokens.append(("var", ch, i))
+            i += 1
+        elif ch in "+-*^/()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _reference_coeff_bits(p: BivarPoly) -> int:
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for _, c in p.items()), default=0)
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = _reference_tokens(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def nest(self, pos: int) -> None:
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+
+    def expr(self) -> BivarPoly:
+        acc = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            acc = acc + rhs if op == "+" else acc + (-rhs)
+        return acc
+
+    def term(self) -> BivarPoly:
+        acc = self.factor()
+        while self.peek()[0] == "*":
+            pos = self.advance()[2]
+            rhs = self.factor()
+            degree = acc.degree + rhs.degree
+            if degree > MAX_DEGREE:
+                raise ParseError(f"product of degree above {MAX_DEGREE}", pos)
+            if min(len(acc.terms) * len(rhs.terms),
+                   math.comb(degree + 2, 2)) > MAX_TERMS:
+                raise ParseError(f"product of more than {MAX_TERMS} terms", pos)
+            acc = acc * rhs
+        return acc
+
+    def factor(self) -> BivarPoly:
+        b = self.base()
+        if self.peek()[0] == "^":
+            self.advance()
+            kind, text, pos = self.peek()
+            if kind != "number":
+                raise ParseError("expected a nonnegative integer exponent", pos)
+            self.advance()
+            if (len(text.lstrip("0")) > len(str(MAX_DEGREE))
+                    or max(b.degree, 1) * int(text) > MAX_DEGREE):
+                raise ParseError(f"exponent or power of degree above {MAX_DEGREE}", pos)
+            n = int(text)
+            if _reference_coeff_bits(b) * n > MAX_COEFF_BITS:
+                raise ParseError(f"power with coefficients above {MAX_COEFF_BITS} bits", pos)
+            t = max(len(b.terms), 1)
+            if min(math.comb(t + n - 1, n),
+                   math.comb(n * max(b.degree, 0) + 2, 2)) > MAX_TERMS:
+                raise ParseError(f"power of more than {MAX_TERMS} terms", pos)
+            b = b ** n
+        return b
+
+    def base(self) -> BivarPoly:
+        kind, text, pos = self.peek()
+        if kind == "var":
+            self.advance()
+            return BivarPoly.x() if text == "x" else BivarPoly.y()
+        if kind == "number":
+            self.advance()
+            num = int(text)
+            if self.peek()[0] == "/":
+                self.advance()
+                den_kind, den_text, den_pos = self.peek()
+                if den_kind != "number":
+                    raise ParseError("expected an integer denominator", den_pos)
+                self.advance()
+                if int(den_text) == 0:
+                    raise ParseError("zero denominator", den_pos)
+                return BivarPoly.constant(Fraction(num, int(den_text)))
+            return BivarPoly.constant(num)
+        if kind == "(":
+            self.nest(pos)
+            inner = self.expr()
+            closing = self.peek()
+            if closing[0] != ")":
+                raise ParseError("expected ')'", closing[2])
+            self.advance()
+            self.depth -= 1
+            return inner
+        if kind == "-":
+            self.nest(pos)
+            inner = self.factor()
+            self.depth -= 1
+            return -inner
+        raise ParseError("expected 'x', 'y', a rational, '(' or '-'", pos)
+
+
+def reference_parse_poly(text: str) -> BivarPoly:
+    """`bsinf.parsing.parse_poly` as it was written before monomials were
+    carried as triples: the reference for its results and its errors."""
+    parser = _ReferenceParser(text)
+    result = parser.expr()
+    trailing = parser.peek()
+    if trailing[0] != "end":
+        raise ParseError("expected end of input", trailing[2])
+    if result.is_zero():
+        raise ZeroPolynomialError("expression expands to the zero polynomial")
+    if result.is_constant():
+        raise DegreeZeroError("expression expands to a nonzero constant")
+    return result
 
 
 @pytest.fixture

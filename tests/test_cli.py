@@ -121,8 +121,8 @@ def test_realize(capsys):
                                   ["realize", "1,99999"]],
                          ids=["normal-form", "realize", "realize-pair"])
 def test_huge_tuples_fail_fast(capsys, argv):
-    # their curves would have degree above 88, C(90, 2) = 4005 <= MAX_TERMS
-    # terms: more than an input curve may have
+    # their curves would have degree above 89 (C(91, 2) = 4095 <= MAX_TERMS
+    # < C(92, 2)), so possibly more terms than an input curve may have
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 2.0
@@ -131,11 +131,26 @@ def test_huge_tuples_fail_fast(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
-def test_tuples_of_degree_88_are_built(capsys):
+def test_tuples_of_degree_89_are_built(capsys):
     code, out, _ = run(capsys, "normal-form", "--json", "88")
     assert code == 0 and json.loads(out)["k"] == [88]
     code, out, _ = run(capsys, "realize", "--json", "44,44")
     assert code == 0 and json.loads(out)["verified"]
+    # degree 89, the largest accepted: 3105 terms, within the parser's bound
+    code, out, _ = run(capsys, "normal-form", "--json", "1,89")
+    assert code == 0 and json.loads(out)["k"] == [1, 89]
+    assert len(parse_poly(json.loads(out)["normal_form"]).terms) == 3105
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normal-form", "\u0662"], "error: tuple entries must be positive integers, got '\u0662'"),
+    (["realize", "1,\u0663"], "error: tuple entries must be positive integers, got '\u0663'"),
+    (["normal-form", "\u00b2"], "syntax error: unexpected character '\u00b2' (at offset 0)"),
+], ids=["arabic-indic-tuple", "arabic-indic-entry", "superscript"])
+def test_tuple_entries_are_ascii_digits(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == [message]
 
 
 def test_refused_degree_is_the_degree_of_the_built_curve():
