@@ -15,18 +15,22 @@ chapters 14-16), on integer coefficient lists:
    checked by exact division; a squarefree f is recognised at the first a
    where f(x, a) is squarefree.
 3. Specialise at the first of those a at which the squarefree part stays
-   squarefree, and factor it there over Z by Zassenhaus: Cantor-Zassenhaus
-   modulo the first odd prime p that divides no lead and keeps it
-   squarefree, multifactor Hensel lifting past the Mignotte bound, and
-   recombination by trial division.
-4. Lift those factors (y - a)-adically modulo p^K, in integers, by a tree of
-   two-factor linear lifts of monic factors, and recombine subsets of the
-   lifted factors by exact trial division in Z[y][x].  p^K exceeds twice a
-   bound B on the coefficients of every candidate (see `_factor_squarefree`).
-   Of a subset and its complement, the one of lower x-degree m is tested, so
-   the lifting stops at y^(d // 2).  A candidate is formed only up to y^m in
-   symmetric residues and is dropped without a division when it has a term
-   of total degree above m or a residue above B in size: no factor does.
+   squarefree, and factor it there over Z by Zassenhaus, as a sieve: f is
+   irreducible when f(x, a) is.  f(x, a) is factored modulo the first odd
+   prime p that divides no lead and keeps it squarefree, by
+   Cantor-Zassenhaus, and those factors go through step 4 with the
+   polynomial f(x, a), free of y.
+4. Lift and recombine, one routine for both steps.  The factors are lifted
+   modulo p^K, in integers, by a tree of two-factor lifts of monic factors:
+   at each node the split of the y^0 coefficient is lifted in powers of p,
+   unless the factors are exact over Z, and then the higher powers of y - a
+   linearly.  Subsets of the lifted factors are recombined by exact trial
+   division in Z[y][x].  p^K exceeds twice a bound B on the coefficients of
+   every candidate (see `_lift_and_recombine`).  Of a subset and its
+   complement, the one of lower x-degree m is tested, so the lifting stops
+   at y^(d // 2).  A candidate is formed only up to y^m in symmetric
+   residues and is dropped without a division when it has a term of total
+   degree above m or a residue above B in size: no factor does.
 
 Every random choice comes from a `random.Random(0)` made for the call, and a
 factor set is unique, so the result and its cost are the same in every
@@ -47,7 +51,6 @@ from fractions import Fraction
 
 from .poly import (
     BivarPoly,
-    _int_exact_div,
     _int_pseudo_remainder,
     _list_add,
     _list_derivative,
@@ -94,14 +97,6 @@ def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _zx_divide(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b if b divides a in Z[x], else None."""
-    if a[0] % b[0] if b[0] else a[0]:  # the constant terms must divide
-        return None
-    q = _int_exact_div(a, b)
-    return q if _list_mul(q, b) == a else None
-
-
 # ---------------------------------------------------------------------------
 # polynomials modulo m: coefficients in [0, m)
 # ---------------------------------------------------------------------------
@@ -114,15 +109,15 @@ def _mod_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int
     """Quotient and remainder modulo m, for b with a lead invertible mod m."""
     n = len(b) - 1
     inv = pow(b[-1], -1, m)
-    rem = [c % m for c in a]
+    rem = list(a)  # reduced modulo m only where read
     q = [0] * max(0, len(a) - n)
     for k in range(len(q) - 1, -1, -1):
         c = rem[k + n] * inv % m
         if c:
             q[k] = c
-            for i, cb in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * cb) % m
-    return q, _trim(rem[:n])
+            for i in range(n):
+                rem[k + i] -= c * b[i]
+    return q, _mod(rem[:n], m)
 
 
 def _gf_monic(a: list[int], p: int) -> list[int]:
@@ -200,55 +195,6 @@ def _gf_equal_degree(g: list[int], degree: int, p: int,
 # factoring in Z[x]: Zassenhaus
 # ---------------------------------------------------------------------------
 
-def _gf_product(factors: list[list[int]], m: int) -> list[int]:
-    out = [1]
-    for g in factors:
-        out = _mod(_list_mul(out, g), m)
-    return out
-
-
-def _bezout_step(mm: int, g, h, s, t):
-    """From s*g + t*h = 1 modulo m, h monic, deg s < deg h and deg t < deg g,
-    the same modulo mm, a divisor of m^2 (von zur Gathen and Gerhard,
-    Algorithm 15.10, steps 3 and 4)."""
-    b = _mod(_list_add(_list_add(_list_mul(s, g), _list_mul(t, h)), [1], -1), mm)
-    c, d = _mod_divmod(_list_mul(s, b), h, mm)
-    return (_mod(_list_add(s, d, -1), mm),
-            _mod(_list_add(t, _list_add(_list_mul(t, b), _list_mul(c, g)), -1), mm))
-
-
-def _hensel_step(m: int, f, g, h, s, t):
-    """From f = g*h and s*g + t*h = 1 modulo m, h monic, deg s < deg h and
-    deg t < deg g, the same modulo m^2 (von zur Gathen and Gerhard,
-    Algorithm 15.10)."""
-    mm = m * m
-    e = _mod(_list_add(f, _list_mul(g, h), -1), mm)
-    q, r = _mod_divmod(_list_mul(s, e), h, mm)
-    g = _mod(_list_add(g, _list_add(_list_mul(t, e), _list_mul(q, g))), mm)
-    h = _mod(_list_add(h, r), mm)
-    return (g, h) + _bezout_step(mm, g, h, s, t)
-
-
-def _hensel_lift(f: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
-    """The monic factors modulo p^k of f, congruent modulo p to the given
-    monic, pairwise coprime factors, where f = lc(f) * prod(factors) mod p
-    and p does not divide lc(f): a binary tree of two-factor lifts."""
-    pk = p ** k
-    if len(factors) == 1:
-        inv = pow(f[-1], -1, pk)
-        return [_mod([c * inv for c in f], pk)]
-    half = len(factors) // 2
-    g = _mod([f[-1] * c for c in _gf_product(factors[:half], p)], p)
-    h = _gf_product(factors[half:], p)
-    s, t = _gf_gcdex(g, h, p)
-    m = p
-    while m < pk:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m *= m
-    return (_hensel_lift(_mod(g, pk), factors[:half], p, k)
-            + _hensel_lift(_mod(h, pk), factors[half:], p, k))
-
-
 def _primes():
     """The odd primes, in order."""
     n = 3
@@ -269,40 +215,17 @@ def zassenhaus(u: list[int], p: int | None = None) -> list[list[int]]:
     """The irreducible factors in Z[x] of a primitive, squarefree u of
     positive degree with a positive lead, each primitive with a positive
     lead (von zur Gathen and Gerhard, Algorithm 15.19, with recombination by
-    trial division), factored modulo p, by default `_prime(u)`."""
-    n, lead = len(u) - 1, u[-1]
-    if n == 1:
+    trial division), factored modulo p, by default `_prime(u)`.  The
+    factors of u modulo p are lifted and recombined by `_lift_and_recombine`
+    with u as a polynomial of degree 0 in y."""
+    if len(u) == 2:
         return [u]
     p = p or _prime(u)
     modular = _gf_factor(_gf_monic(_mod(u, p), p), p, random.Random(0))
     if len(modular) == 1:
         return [u]
-    # a factor of u times lead has coefficients of size at most the
-    # Mignotte bound; p^k exceeds twice it, so the symmetric residues below
-    # are the integers themselves
-    bound = (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, u)) * lead
-    k = 1
-    while p ** k <= 2 * bound:
-        k += 1
-    pk = p ** k
-    lifted = _hensel_lift(u, modular, p, k)
-    factors, rest, size = [], u, 1
-    while 2 * size <= len(lifted):
-        for subset in itertools.combinations(range(len(lifted)), size):
-            g = [rest[-1]]
-            for i in subset:
-                g = _mod(_list_mul(g, lifted[i]), pk)
-            g = _primitive([c - pk if 2 * c > pk else c for c in g])
-            q = _zx_divide(rest, g)
-            if q is not None:
-                factors.append(g)
-                rest = q
-                lifted = [f for i, f in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
-    factors.append(rest)
-    return factors
+    rows = _lift_and_recombine([[c] if c else [] for c in u], p, modular)
+    return [[row[0] if row else 0 for row in g] for g in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +235,9 @@ def zassenhaus(u: list[int], p: int | None = None) -> list[list[int]]:
 def _rows_divide(a: list[list[int]], b: list[list[int]]) -> list[list[int]] | None:
     """a / b if b, whose leading coefficient in x is an integer, divides a
     in Z[y][x], else None."""
+    a00, b00 = (a[0] or [0])[0], (b[0] or [0])[0]
+    if a00 % b00 if b00 else a00:  # a(0, 0) = b(0, 0) * q(0, 0)
+        return None
     n, lead = len(b) - 1, b[-1][0]
     rem = [list(row) for row in a]
     q: list[list[int]] = [[] for _ in range(len(a) - n)]
@@ -384,20 +310,58 @@ def _squarefree(f: list[list[int]]) -> tuple[list[list[int]], int]:
 # lifting modulo a prime power and recombination
 # ---------------------------------------------------------------------------
 
+def _gf_product(factors: list[list[int]], m: int) -> list[int]:
+    out = [1]
+    for g in factors:
+        out = _mod(_list_mul(out, g), m)
+    return out
+
+
+def _hensel_step(mm: int, f, g, h, s, t):
+    """From f = g*h and s*g + t*h = 1 modulo m, h monic, deg s < deg h and
+    deg t < deg g, the factors g and h of f modulo mm, a divisor of m^2 (von
+    zur Gathen and Gerhard, Algorithm 15.10, steps 1 and 2)."""
+    e = _mod(_list_add(f, _list_mul(g, h), -1), mm)
+    q, r = _mod_divmod(_list_mul(s, e), h, mm)
+    return (_mod(_list_add(g, _list_add(_list_mul(t, e), _list_mul(q, g))), mm),
+            _mod(_list_add(h, r), mm))
+
+
+def _bezout_step(mm: int, g, h, s, t):
+    """From s*g + t*h = 1 modulo m, h monic, deg s < deg h and deg t < deg g,
+    the same modulo mm, a divisor of m^2 (von zur Gathen and Gerhard,
+    Algorithm 15.10, steps 3 and 4)."""
+    b = _mod(_list_add(_list_add(_list_mul(s, g), _list_mul(t, h)), [1], -1), mm)
+    c, d = _mod_divmod(_list_mul(s, b), h, mm)
+    return (_mod(_list_add(s, d, -1), mm),
+            _mod(_list_add(t, _list_add(_list_mul(t, b), _list_mul(c, g)), -1), mm))
+
+
 def _lift(series: list[list[int]], factors: list[list[int]], p: int,
           m: int) -> list[list[list[int]]]:
-    """The monic factors modulo m, a power of p, of a power series in y whose
-    coefficient of y^0 is the product of the given monic factors, pairwise
-    coprime modulo p, to the same precision: a binary tree of two-factor
-    linear lifts."""
+    """The monic factors modulo m, a power of p, of a power series in y
+    whose coefficient of y^0 is monic and congruent modulo p to the product
+    of the given monic factors, pairwise coprime modulo p, to the same
+    precision: a binary tree of two-factor lifts.
+
+    At each node the y^0 coefficient splits as g0*h0, g0 the product of the
+    first half of the factors and h0 its cofactor.  When g0 divides it
+    modulo m, the split is exact and only s and t with s*g0 + t*h0 = 1 are
+    raised to modulo m; else the factors are known only modulo p, and the
+    split is lifted in powers of p by Hensel steps.  The higher powers of y
+    then follow linearly."""
     if len(factors) == 1:
         return [series]
     half = len(factors) // 2
-    g0, h0 = _gf_product(factors[:half], m), _gf_product(factors[half:], m)
+    g0 = _gf_product(factors[:half], m)
+    h0, r = _mod_divmod(series[0], g0, m)
+    exact = not r
     s, t = _gf_gcdex(_mod(g0, p), _mod(h0, p), p)
     mm = p
     while mm < m:
         mm = min(mm * mm, m)
+        if not exact:
+            g0, h0 = _hensel_step(mm, series[0], g0, h0, s, t)
         s, t = _bezout_step(mm, g0, h0, s, t)
     g, h = [g0], [h0]
     for k in range(1, len(series)):
@@ -416,18 +380,19 @@ def _candidate(lead: int, parts: list[list[list[int]]], modulus: int,
     as an element of Z[y][x], when that has the shape of a factor: no term
     of total degree above its x-degree m, and symmetric residues modulo the
     modulus of size at most the bound.  It is formed one power of y at a
-    time up to y^m, so most candidates are dropped early."""
+    time up to y^m, or up to the parts' last power of y if that is lower, so
+    most candidates are dropped early."""
     m = sum(len(part[0]) - 1 for part in parts)
     products = [[] for _ in parts]  # products[j]: parts[0] * ... * parts[j]
     rows: list[list[int]] = [[] for _ in range(m + 1)]
-    for k in range(m + 1):
-        c = parts[0][k] if k < len(parts[0]) else []
+    for k in range(min(m + 1, len(parts[0]))):
+        c = parts[0][k]
         products[0].append(c)
         for j in range(1, len(parts)):
             part = parts[j]
             prev = products[j - 1]
             c = []
-            for i in range(max(0, k - len(part) + 1), k + 1):
+            for i in range(k + 1):
                 c = _list_add(c, _list_mul(prev[i], part[k - i]))
             c = _mod(c, modulus)
             products[j].append(c)
@@ -445,39 +410,42 @@ def _candidate(lead: int, parts: list[list[list[int]]], modulus: int,
     return [[next(ints) for _ in row] for row in rows]
 
 
-def _factor_squarefree(f: list[list[int]], a: int) -> list[list[list[int]]]:
+def _lift_and_recombine(f: list[list[int]], p: int,
+                        factors: list[list[int]]) -> list[list[list[int]]]:
     """The irreducible factors in Z[y][x] of a squarefree f whose leading
-    coefficient in x is an integer and whose x-degree is its total degree,
-    from those of f(x, a), which is squarefree."""
-    d = len(f) - 1
-    if d == 1:
-        return [f]
-    u = [_horner(row, a) for row in f]
-    p = _prime(u)  # does not divide the lead of f, so the lift can use it
-    specialised = zassenhaus(_primitive(u), p)
-    if len(specialised) == 1:
-        return [f]
-    shifted = [_taylor_shift(row, a) for row in f]
-    lead = f[-1][0]
-    # Mahler (1962): a factor g of the shifted F in Z[x, y] has
+    coefficient in x is an integer prime to p and whose x-degree is its
+    total degree d, from the irreducible factors of f(x, 0) over Z or
+    modulo p, pairwise coprime modulo p, with leads prime to p.
+
+    The factors are lifted modulo p^K, in integers, and subsets of them are
+    recombined by exact trial division in Z[y][x].  p^K exceeds twice a
+    bound B on the coefficients of every candidate.  Of a subset and its
+    complement, the one of lower x-degree m is tested, so the lifting stops
+    at y^(d // 2), and at y^0 when f is free of y.  A candidate is formed
+    only up to y^m in symmetric residues and is dropped without a division
+    when it has a term of total degree above m or a residue above B in
+    size: no factor does."""
+    d, lead = len(f) - 1, f[-1][0]
+    # Mahler (1962): a factor g of f in Z[x, y] has
     # |g_ij| <= C(deg_x g, i) * C(deg_y g, j) * M(g), and the Mahler measure
     # M is multiplicative and at least 1 on nonzero integer polynomials, so
-    # M(g) <= M(F) <= ||F||_2.  A candidate is (lead / lc_x g) * g, whose
-    # coefficients are thus at most lead * 2^(d + e) * ||F||_2 in size, for
-    # e = deg_y F; the modulus exceeds twice that, so a candidate's symmetric
+    # M(g) <= M(f) <= ||f||_2.  A candidate is (lead / lc_x g) * g, whose
+    # coefficients are thus at most lead * 2^(d + e) * ||f||_2 in size, for
+    # e = deg_y f; the modulus exceeds twice that, so a candidate's symmetric
     # residues are its integer coefficients
-    e = max(len(row) for row in shifted) - 1
-    norm = math.isqrt(sum(c * c for row in shifted for c in row)) + 1
+    e = max(len(row) for row in f) - 1
+    norm = math.isqrt(sum(c * c for row in f for c in row)) + 1
     bound = abs(lead) * 2 ** (d + e) * norm
     modulus = p
     while modulus <= 2 * bound:
         modulus *= p
     inv = pow(lead, -1, modulus)
-    # a factor tested below has x-degree, so y-degree, at most d // 2
-    series = [_mod([row[k] * inv if k < len(row) else 0 for row in shifted], modulus)
-              for k in range(d // 2 + 1)]
-    lifted = _lift(series, [_gf_monic(g, modulus) for g in specialised], p, modulus)
-    factors, rest, size = [], shifted, 1
+    # a factor tested below has x-degree, so y-degree, at most d // 2, and
+    # the factors of an f free of y are free of y
+    series = [_mod([row[k] * inv if k < len(row) else 0 for row in f], modulus)
+              for k in range(d // 2 + 1 if e else 1)]
+    lifted = _lift(series, [_gf_monic(g, modulus) for g in factors], p, modulus)
+    out, rest, size = [], f, 1
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
             inside = [lifted[i] for i in subset]
@@ -490,14 +458,32 @@ def _factor_squarefree(f: list[list[int]], a: int) -> list[list[list[int]]]:
             if q is not None:
                 # the factor of the subset is irreducible: no smaller subset
                 # of its lifted factors gave a factor
-                factors.append(g if small else q)
+                out.append(g if small else q)
                 rest = q if small else g
                 lifted = outside
                 break
         else:
             size += 1
-    factors.append(rest)
-    return [[_taylor_shift(row, -a) for row in g] for g in factors]
+    out.append(rest)
+    return out
+
+
+def _factor_squarefree(f: list[list[int]], a: int) -> list[list[list[int]]]:
+    """The irreducible factors in Z[y][x] of a squarefree f whose leading
+    coefficient in x is an integer and whose x-degree is its total degree,
+    from those of f(x, a), which is squarefree: f is irreducible when f(x, a)
+    is, and else the factors of f(x, a) over Z are lifted in powers of
+    y - a."""
+    if len(f) == 2:
+        return [f]
+    u = [_horner(row, a) for row in f]
+    p = _prime(u)  # does not divide the lead of f, so the lift can use it
+    specialised = zassenhaus(_primitive(u), p)
+    if len(specialised) == 1:
+        return [f]
+    shifted = [_taylor_shift(row, a) for row in f]
+    return [[_taylor_shift(row, -a) for row in g]
+            for g in _lift_and_recombine(shifted, p, specialised)]
 
 
 def _shear(terms: dict[tuple[int, int], int], c: int) -> dict[tuple[int, int], int]:

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 import sympy
@@ -106,6 +107,10 @@ def test_expanded_products_match_factor_list(f):
     # the specialisations split into many factors: x^24 - 1 into eight
     # cyclotomic ones over Z, and those further modulo p
     "x^24 - y", "x^36 - y^2 - 1", "(x^24 - y)*(y - 2*x - 1)",
+    # free of y: the factors modulo p are lifted in powers of p alone and
+    # recombined as one-row polynomials; the quartic is irreducible over Q
+    # but splits modulo every prime
+    "x^4 - 10*x^2 + 1", "x^12 - 1",
 ])
 def test_named_curves_match_factor_list(text):
     f = expanded(text)
@@ -130,6 +135,19 @@ def test_large_coefficients_match_factor_list(factors):
     # machine word, so a modulus below the coefficient bound reads them wrong
     f = BivarPoly(math.prod(factors, start=BivarPoly.constant(1)).terms)
     assert split(f) == factor_list_terms(f)
+
+
+@pytest.mark.parametrize("text", ["x^48 - y", "x^60 - y^2 - 1"])
+def test_irreducible_curve_with_split_specialisation_is_fast(text):
+    # the curves at y = 1 and y = 0, x^48 - 1 and x^60 - 1, have 10 and 12
+    # factors over Z, and 20 and 21 modulo p.  Zassenhaus over Z comes
+    # first, and only its factors are lifted in powers of y; lifting the
+    # factors modulo p in powers of y directly makes the recombination take
+    # minutes here (ROADMAP.md, "Measured and rejected")
+    f = expanded(text)
+    start = time.perf_counter()
+    assert factor.bivariate_factors(f) == {f.normalized_primitive()}
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("text", [
@@ -178,6 +196,32 @@ def reference_zx(u: list[int]) -> list:
 @given(univariate_inputs())
 @settings(max_examples=80, deadline=None)
 def test_zassenhaus_matches_factor_list(u):
+    assert sorted(factor.zassenhaus(u)) == reference_zx(u)
+
+
+@st.composite
+def large_univariate_inputs(draw):
+    """The primitive, squarefree part with a positive lead of a product of 2
+    or 3 factors of degree 1 to 3 with coefficients up to 10^25 in size and
+    leads up to 10^12."""
+    x = sympy.Symbol("x")
+    p = sympy.Integer(1)
+    for _ in range(draw(st.integers(2, 3))):
+        coeffs = draw(st.lists(st.integers(-10 ** 25, 10 ** 25), min_size=1, max_size=3))
+        lead = draw(st.integers(1, 10 ** 12)) * draw(st.sampled_from([-1, 1]))
+        p *= sympy.Poly([lead] + coeffs, x).as_expr()
+    _, prim = sympy.Poly(p, x).sqf_part().primitive()
+    if prim.LC() < 0:
+        prim = -prim
+    return [int(c) for c in reversed(prim.all_coeffs())]
+
+
+@given(large_univariate_inputs())
+@settings(max_examples=30, deadline=None)
+def test_zassenhaus_large_coefficients_match_factor_list(u):
+    # the modulus exceeds twice Mahler's bound for degree 0 in y, and
+    # candidates, up to the lead of u times a factor, are far beyond a
+    # machine word
     assert sorted(factor.zassenhaus(u)) == reference_zx(u)
 
 
