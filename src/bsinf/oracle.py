@@ -2,11 +2,13 @@
 counts: intersects the curve with circles of geometrically growing radius,
 tracks the intersection angles and extrapolates their limits.
 
-Each circle is scanned level by level: a uniform grid over the whole circle,
-then up to three levels of finer scans of the event windows the level above
-found.  A level is one batch of numpy operations over all of its windows (in
-chunks of _BATCH windows); only the bisections and extremum searches that
-settle the windows no level refines run point by point.
+All the circles of a curve are scanned together, level by level: a uniform
+grid over each whole circle, then up to three levels of finer scans of the
+event windows the level above found.  A level rescans the windows of all
+circles in batches of at most _BATCH windows, one evaluation per batch.  The
+windows no level refines are settled at the end, all at once: their
+bisections and extremum searches advance in lockstep, with one evaluation of
+all their live points per step.
 
 Advisory only — the exact pipeline is authoritative; this module exists to
 cross-validate it and deliberately shares none of its machinery.  numpy is
@@ -48,13 +50,14 @@ def _scaled_evaluator(f: BivarPoly):
     coefficient-magnitude scale of that form at radius R.
 
     `ev(radius, cos_t, sin_t)` evaluates the form by Horner's rule in sin over
-    Horner's rule in cos, with coefficients c_ij * R^(i+j-deg) formed once per
-    radius: the table of the last radius is kept for the next call.  Scans
-    pass numpy arrays of any shape (a batch of windows is rows x samples) and
-    get an array of that shape; a single point passes 1-tuples, e.g.
-    `ev(r, (math.cos(t),), (math.sin(t),))`, and gets a float from the same
-    Horner code run on Python floats, with no numpy call.  Both paths round
-    identically, so a point and the same point of a grid agree bitwise.
+    Horner's rule in cos, with coefficients c_ij * R^(i+j-deg).  `radius` is
+    one radius, or an array of one radius per row of the numpy arrays `cos_t`
+    and `sin_t` (rows x samples for a batch of windows, one point per row for
+    the settling searches); the result has their shape.  The table of each
+    radius is formed once, with Python floats, and kept; a call gathers each
+    coefficient by row.  Every element passes through the same roundings, so
+    a point gets bitwise the same value alone, in any batch and beside any
+    other radii.
 
     Rounding: each term c_ij cos^i sin^j passes through at most 2*deg + 2
     roundings, so with |cos|, |sin| <= 1 the computed value is within
@@ -66,6 +69,8 @@ def _scaled_evaluator(f: BivarPoly):
     up: it is an empirical sign threshold, not a certificate, which is one
     reason the oracle stays advisory.
     """
+    import numpy as np
+
     d = f.degree
     terms = [(i, j, float(c)) for (i, j), c in f.items()]
     # table[j][i] = (c_ij, deg - i - j): the terms of sin^j, dense in cos
@@ -75,26 +80,30 @@ def _scaled_evaluator(f: BivarPoly):
         row.extend([(0.0, 0)] * (i + 1 - len(row)))
         row[i] = (c, d - i - j)
     table = [row[::-1] for row in reversed(table)]  # highest powers first
-    # (radius, table with c_ij * R^(i+j-deg) in place of c_ij, None for 0)
-    scaled: tuple[float | None, list[list[float | None]]] = (None, [])
+    added = [[bool(c) for c, _ in row] for row in table]  # Horner adds these
+    width = sum(map(sum, added))
+    scaled: dict[float, list[float]] = {}  # radius -> its nonzero c_ij * R^(i+j-deg)
 
-    def ev(radius: float, cos_t, sin_t):
-        nonlocal scaled
-        at, rows = scaled
-        if at != radius:
+    def coefficients(radius: float) -> list[float]:
+        if radius not in scaled:
             inv = [radius ** float(-k) for k in range(d + 1)]  # inv[k] = R^-k
-            rows = [[c * inv[k] if c else None for c, k in row] for row in table]
-            scaled = (radius, rows)
-        if isinstance(cos_t, tuple):  # one point: Python floats
-            cos_t, sin_t = cos_t[0], sin_t[0]
-        # in place on arrays, rebinding on floats: the same roundings
+            scaled[radius] = [c * inv[k] for line in table for c, k in line if c]
+        return scaled[radius]
+
+    def ev(radius, cos_t, sin_t):
+        radius = np.atleast_1d(radius).tolist()
+        slot = {r: k for k, r in enumerate(dict.fromkeys(radius))}
+        known = np.array([coefficients(r) for r in slot]).reshape(len(slot), width)
+        # one array per coefficient, holding its value on each row
+        coeffs = iter(known.T[:, [slot[r] for r in radius]].reshape(
+            (width, len(radius)) + (1,) * (cos_t.ndim - 1)))
         acc = 0.0
-        for row in rows:
+        for line in added:
             inner = 0.0
-            for c in row:
+            for add in line:
                 inner *= cos_t
-                if c is not None:
-                    inner += c
+                if add:
+                    inner += next(coeffs)
             acc *= sin_t
             acc += inner
         return acc
@@ -105,53 +114,56 @@ def _scaled_evaluator(f: BivarPoly):
     return ev, scale
 
 
-def _ev_at(ev, radius: float, t: float) -> float:
-    return ev(radius, (math.cos(t),), (math.sin(t),))
+def _at(ev, radius, t):
+    """f at the angles t, each on the circle of its radius, with cos and sin
+    from math.cos and math.sin."""
+    import numpy as np
+
+    t = t.tolist()
+    return ev(radius, np.array([math.cos(a) for a in t]), np.array([math.sin(a) for a in t]))
 
 
-def _bisect_bracket(ev, radius: float, lo: float, hi: float, flo: float) -> float:
-    """Bisect one sign-change bracket to 1e-12 angle width."""
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if flo * _ev_at(ev, radius, mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+def _bisect(ev, radius, lo, hi, flo):
+    """Bisect sign-change brackets [lo, hi], with f(lo) = flo, to 1e-12 angle
+    width, all in lockstep; return their midpoints."""
+    import numpy as np
+
+    lo, hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(hi - lo > 1e-12)
+    while len(live):
+        mid = 0.5 * (lo[live] + hi[live])
+        left = flo[live] * _at(ev, radius[live], mid) <= 0.0
+        hi[live[left]] = mid[left]
+        lo[live[~left]] = mid[~left]
+        live = live[hi[live] - lo[live] > 1e-12]
     return 0.5 * (lo + hi)
 
 
-def _refine_extremum(ev, radius: float, lo: float, hi: float,
-                     s: float) -> tuple[float, float]:
-    """Ternary-search the minimum of s*f over a window, for at most 80 steps.
+def _extremum(ev, radius, lo, hi, s):
+    """Ternary-search the minimum of s*f over windows [lo, hi], all in
+    lockstep, for at most 80 steps; return the final midpoints and f there.
 
-    The search stops early at its floating fixed point: a step whose end
-    point equals the one it replaces leaves the state as it was, so every
-    later step would repeat it."""
+    A window stops early at its floating fixed point: a step whose end point
+    equals the one it replaces leaves the state as it was, so every later
+    step would repeat it."""
+    import numpy as np
+
+    lo, hi = lo.copy(), hi.copy()
+    live = np.arange(len(lo))
     for _ in range(80):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if s * _ev_at(ev, radius, m1) < s * _ev_at(ev, radius, m2):
-            if hi == m2:
-                break
-            hi = m2
-        else:
-            if lo == m1:
-                break
-            lo = m1
+        a, b = lo[live], hi[live]
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        v = _at(ev, np.concatenate([radius[live]] * 2), np.concatenate([m1, m2]))
+        down = s[live] * v[:len(live)] < s[live] * v[len(live):]
+        moved = np.where(down, b != m2, a != m1)
+        hi[live[down & moved]] = m2[down & moved]
+        lo[live[~down & moved]] = m1[~down & moved]
+        live = live[moved]
+        if not len(live):
+            break
     mid = 0.5 * (lo + hi)
-    return mid, _ev_at(ev, radius, mid)
-
-
-def _probe_even_event(ev, radius: float, lo: float, hi: float, s: float,
-                      noise: float, out: list[float]) -> None:
-    """A sign-constant window that may hide an even number of intersections:
-    recover two crossings, record a tangential contact twice, or discard."""
-    t_ext, v_ext = _refine_extremum(ev, radius, lo, hi, s)
-    if s * v_ext < -noise:
-        out.append(_bisect_bracket(ev, radius, lo, t_ext, s))
-        out.append(_bisect_bracket(ev, radius, t_ext, hi, v_ext))
-    elif abs(v_ext) <= noise:
-        out.extend([t_ext, t_ext])
+    return mid, _at(ev, radius, mid)
 
 
 def _sign_windows(sgn):
@@ -161,7 +173,8 @@ def _sign_windows(sgn):
     a row sit at a window edge and belong to the parent scan."""
     import numpy as np
 
-    rows, k = np.nonzero(sgn[:, 1:] != sgn[:, :-1])
+    # np.nonzero of a 2-D mask, from the faster search of the flat one
+    rows, k = np.divmod(np.flatnonzero(sgn[:, 1:] != sgn[:, :-1]), sgn.shape[1] - 1)
     left, right = sgn[rows, k], sgn[rows, k + 1]
     flips = (left != 0) & (right != 0)
     # a zero run opened at k is closed by the next change in its row
@@ -172,24 +185,28 @@ def _sign_windows(sgn):
             np.concatenate([k[flips] + 1, k[opens + 1] + 1]))
 
 
-def _event_windows(theta, vals, noise: float, dip_tol):
+def _event_windows(theta, vals, noise, dip_tol):
     """The event windows of a batch of scans, one scan per row of the
-    samples `theta` and their values `vals`, as arrays (lo, hi, f(lo), f(hi)).
+    samples `theta` and their values `vals`, as arrays
+    (row, lo, hi, f(lo), f(hi)).
 
-    Samples are classified +/-/0 against the evaluation noise floor; maximal
-    zero runs and sign changes become windows.  Local minima of |f| below the
-    row's `dip_tol`, the Bernstein bound for a hidden double zero, open
-    windows on their same-sign sides; a pair straddling the sample itself
-    would have flipped its sign and is already a pair of crossings.  The
-    last sample of a row only closes windows, and a dip at the first has no
-    left neighbour.
+    Samples are classified +/-/0 against the row's evaluation noise floor
+    `noise`; maximal zero runs and sign changes become windows.  Local minima
+    of |f| below the row's `dip_tol`, the Bernstein bound for a hidden double
+    zero, open windows on their same-sign sides; a pair straddling the sample
+    itself would have flipped its sign and is already a pair of crossings.
+    The last sample of a row only closes windows, and a dip at the first has
+    no left neighbour.
     """
     import numpy as np
 
+    noise = noise[:, None]
     sgn = (vals > noise).view(np.int8) - (vals < -noise).view(np.int8)
     rows, a, b = _sign_windows(sgn)
     absv = np.abs(vals)
-    r, k = np.nonzero((absv[:, :-1] > noise) & (absv[:, :-1] < dip_tol[:, None]))
+    width = vals.shape[1]
+    r, k = np.divmod(np.flatnonzero((absv[:, :-1] > noise) & (absv[:, :-1] < dip_tol[:, None])),
+                     width - 1)
     v = absv[r, k]
     dip = (v <= absv[r, k + 1]) & ((k == 0) | (v <= absv[r, k - 1]))
     r, k = r[dip], k[dip]
@@ -197,40 +214,58 @@ def _event_windows(theta, vals, noise: float, dip_tol):
     to_left = (k > 0) & (sgn[r, k - 1] == s)
     to_right = sgn[r, k + 1] == s
     # marked by left end, so two adjacent equal dips open their window once
-    opens = np.zeros(vals.shape, dtype=bool)
-    opens[r[to_left], k[to_left] - 1] = True
-    opens[r[to_right], k[to_right]] = True
-    dip_rows, left = np.nonzero(opens)
+    opens = np.zeros(vals.size, dtype=bool)
+    left = r * width + k
+    opens[left[to_left] - 1] = True
+    opens[left[to_right]] = True
+    dip_rows, left = np.divmod(np.flatnonzero(opens), width)
     rows = np.concatenate([rows, dip_rows])
     a = np.concatenate([a, left])
     b = np.concatenate([b, left + 1])
-    return theta[rows, a], theta[rows, b], vals[rows, a], vals[rows, b]
+    return rows, theta[rows, a], theta[rows, b], vals[rows, a], vals[rows, b]
 
 
-def _settle(ev, radius: float, windows, depth: int, noise: float,
-            out: list[float]):
-    """Split the event windows of one level: return (lo, hi) of those to
-    rescan at the next level, and settle the rest into `out`.
-
-    Refining below the cancellation-noise floor only manufactures sign
-    flicker, so a window is rescanned only while depth remains, it is wider
-    than _MIN_WIDTH and an edge value is decisively above the noise floor.
-    Any other window with a sign change is bisected, and a sign-constant one
-    goes through the even-event probe."""
+def _rescan(ev, radii, noise, bernstein, row, lo, hi):
+    """The event windows, as in `_event_windows`, of one batch of windows
+    [lo, hi], each rescanned on the circle of radius radii[row] with
+    _SUBSCAN samples and its right end point."""
     import numpy as np
 
-    lo, hi, flo, fhi = windows
-    rescan = ((depth > 0) & (hi - lo > _MIN_WIDTH)
-              & (np.maximum(np.abs(flo), np.abs(fhi)) > 100.0 * noise))
-    settle = ~rescan
-    for wlo, whi, vlo, vhi in zip(lo[settle].tolist(), hi[settle].tolist(),
-                                  flo[settle].tolist(), fhi[settle].tolist()):
-        if (vlo > 0) != (vhi > 0):
-            out.append(_bisect_bracket(ev, radius, wlo, whi, vlo))
-        else:
-            _probe_even_event(ev, radius, wlo, whi, 1.0 if vlo > 0 else -1.0,
-                              noise, out)
-    return lo[rescan], hi[rescan]
+    theta = np.linspace(lo, hi, _SUBSCAN, endpoint=False, axis=1)
+    ends = hi.tolist()
+    vals = ev(radii[row], np.column_stack([np.cos(theta), [math.cos(t) for t in ends]]),
+              np.column_stack([np.sin(theta), [math.sin(t) for t in ends]]))
+    step = (hi - lo) / _SUBSCAN
+    dip_tol = np.maximum(bernstein[row] * step * step, 1e-300)
+    k, *found = _event_windows(np.column_stack([theta, hi]), vals, noise[row], dip_tol)
+    return (row[k], *found)
+
+
+def _settle(ev, radii, noise, row, lo, hi, flo, fhi) -> list[list[float]]:
+    """Settle the windows no level refines, all at once, and return the
+    sorted angles in [0, 2*pi) of each radius.
+
+    A window with a sign change is bisected.  A sign-constant one may hide
+    an even number of intersections: the even-event probe searches the
+    extremum of s*f in it, then recovers two crossings around it, records a
+    tangential contact twice, or discards the window."""
+    import numpy as np
+
+    flip = (flo > 0) != (fhi > 0)
+    r, elo, ehi = row[~flip], lo[~flip], hi[~flip]
+    s = np.where(flo[~flip] > 0, 1.0, -1.0)
+    t, v = _extremum(ev, radii[r], elo, ehi, s)
+    cross = s * v < -noise[r]
+    touch = ~cross & (np.abs(v) <= noise[r])
+    brow, blo, bhi, bflo = (np.concatenate(c) for c in zip(
+        (row[flip], lo[flip], hi[flip], flo[flip]),
+        (r[cross], elo[cross], t[cross], s[cross]),
+        (r[cross], t[cross], ehi[cross], v[cross])))
+    angles = np.concatenate([_bisect(ev, radii[brow], blo, bhi, bflo), t[touch], t[touch]])
+    out: list[list[float]] = [[] for _ in radii]
+    for k, a in zip(np.concatenate([brow, r[touch], r[touch]]).tolist(), angles.tolist()):
+        out[k].append(a % _TWO_PI)
+    return [sorted(a) for a in out]
 
 
 def _circle_grid(n: int):
@@ -242,53 +277,55 @@ def _circle_grid(n: int):
     return theta, np.cos(theta), np.sin(theta)
 
 
-def _intersection_angles(ev, radius: float, grid, scale: float,
-                         deg: int) -> list[float]:
-    """Angles in [0, 2*pi) where the curve meets the circle of this radius.
+def _intersection_angles(ev, radii: list[float], grid, scales: list[float],
+                         deg: int) -> list[list[float]]:
+    """Angles in [0, 2*pi) where the curve meets the circle of each radius,
+    as one sorted list per radius; scales[k] is the scale at radii[k].
 
-    `grid` is `_circle_grid(n)`.  The top scan starts the circle at its first
-    sample above the noise floor and closes it there.  Each window a level
-    rescans gets _SUBSCAN samples, the last at its right end point evaluated
-    with math.cos and math.sin.  The dip bound of a scan with sample step h
-    is 2 * deg^2 * scale * h^2 (Bernstein: |f''| <= deg^2 * scale on the
-    circle).
+    `grid` is `_circle_grid(n)`.  The top scan of each circle starts at its
+    first sample above the noise floor and closes it there.  Each level
+    rescans the windows of all circles in batches of at most _BATCH windows,
+    which may mix radii; each window gets _SUBSCAN samples and its right end
+    point.  The windows no level refines go to `_settle`.  Refining below the
+    cancellation-noise floor only manufactures sign flicker, so a window is
+    rescanned only while depth remains, it is wider than _MIN_WIDTH and an
+    edge value is decisively above the noise floor.  The dip bound of a scan
+    with sample step h is 2 * deg^2 * scale * h^2 (Bernstein:
+    |f''| <= deg^2 * scale on the circle).
     """
     import numpy as np
 
-    theta, cos_t, sin_t = grid
-    noise = 1e-15 * scale
-    bernstein = 2.0 * deg * deg * scale
-    vals = ev(radius, cos_t, sin_t)
-    nonzero = np.flatnonzero(np.abs(vals) > noise)
-    if not len(nonzero):
-        return []  # the whole circle sits at the noise floor: undecidable
-    shift = int(nonzero[0])
-    theta = np.concatenate([theta[shift:], theta[:shift + 1] + _TWO_PI])
-    vals = np.concatenate([vals[shift:], vals[:shift + 1]])
+    theta0, cos_t, sin_t = grid
     step = _TWO_PI / len(cos_t)
-    dip_tol = np.array([max(bernstein * step * step, 1e-300)])
-    out: list[float] = []
-    windows = _event_windows(theta[None], vals[None], noise, dip_tol)
-    lo, hi = _settle(ev, radius, windows, _MAX_DEPTH, noise, out)
-    for depth in range(_MAX_DEPTH - 1, -1, -1):
-        rescan_lo, rescan_hi = [], []
-        for k in range(0, len(lo), _BATCH):
-            blo, bhi = lo[k:k + _BATCH], hi[k:k + _BATCH]
-            theta = np.linspace(blo, bhi, _SUBSCAN, endpoint=False, axis=1)
-            vals = ev(radius, np.cos(theta), np.sin(theta))
-            ends = [_ev_at(ev, radius, t) for t in bhi.tolist()]
-            theta = np.column_stack([theta, bhi])
-            vals = np.column_stack([vals, ends])
-            step = (bhi - blo) / _SUBSCAN
-            dip_tol = np.maximum(bernstein * step * step, 1e-300)
-            windows = _event_windows(theta, vals, noise, dip_tol)
-            nlo, nhi = _settle(ev, radius, windows, depth, noise, out)
-            rescan_lo.append(nlo)
-            rescan_hi.append(nhi)
-        if not rescan_lo:
+    noise = 1e-15 * np.array(scales)
+    bernstein = 2.0 * deg * deg * np.array(scales)
+    top_tol = np.maximum(bernstein * step * step, 1e-300)
+    windows = []
+    for k, radius in enumerate(radii):
+        vals = ev(radius, cos_t, sin_t)
+        nonzero = np.flatnonzero(np.abs(vals) > noise[k])
+        if not len(nonzero):
+            continue  # the whole circle sits at the noise floor: undecidable
+        shift = int(nonzero[0])
+        theta = np.concatenate([theta0[shift:], theta0[:shift + 1] + _TWO_PI])
+        vals = np.concatenate([vals[shift:], vals[:shift + 1]])
+        _, *found = _event_windows(theta[None], vals[None], noise[k:k + 1], top_tol[k:k + 1])
+        windows.append((np.full(len(found[0]), k), *found))
+    radii = np.array(radii)
+    settled = []
+    for depth in range(_MAX_DEPTH, -1, -1):
+        if not windows:
             break
-        lo, hi = np.concatenate(rescan_lo), np.concatenate(rescan_hi)
-    return sorted(a % _TWO_PI for a in out)
+        row, lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*windows))
+        rescan = ((depth > 0) & (hi - lo > _MIN_WIDTH)
+                  & (np.maximum(np.abs(flo), np.abs(fhi)) > 100.0 * noise[row]))
+        settled.append([a[~rescan] for a in (row, lo, hi, flo, fhi)])
+        row, lo, hi = row[rescan], lo[rescan], hi[rescan]
+        windows = [_rescan(ev, radii, noise, bernstein, row[k:k + _BATCH], lo[k:k + _BATCH],
+                           hi[k:k + _BATCH]) for k in range(0, len(row), _BATCH)]
+    if not settled:
+        return [[] for _ in radii]
+    return _settle(ev, radii, noise, *(np.concatenate(c) for c in zip(*settled)))
 
 
 def _cluster(angles: list[float], tol: float) -> list[tuple[float, int]]:
@@ -369,15 +406,10 @@ def oracle_k(f: BivarPoly, radius_max: int = 20) -> OracleReport:
     ev, scale = _scaled_evaluator(f)
 
     radii = [2.0 ** e for e in range(_FIRST_EXPONENT, radius_max + 1)]
-    grid = _circle_grid(_ANGULAR_GRID)
-    per_radius: list[list[float]] = []
-    samples: list[tuple[float, float, float, float]] = []
-    for radius in radii:
-        angles = _intersection_angles(ev, radius, grid, scale(radius), f.degree)
-        samples.extend(
-            (radius, a, radius * math.cos(a), radius * math.sin(a)) for a in angles
-        )
-        per_radius.append(angles)
+    per_radius = _intersection_angles(ev, radii, _circle_grid(_ANGULAR_GRID),
+                                      [scale(r) for r in radii], f.degree)
+    samples = [(radius, a, radius * math.cos(a), radius * math.sin(a))
+               for radius, angles in zip(radii, per_radius) for a in angles]
 
     totals = [len(a) for a in per_radius]
     first, last, stable = _best_plateau(totals, _STABILITY_WINDOW)

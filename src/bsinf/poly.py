@@ -327,21 +327,6 @@ class BivarPoly:
     def homogeneous_part(self, d: int) -> BivarPoly:
         return BivarPoly({e: c for e, c in self._terms.items() if e[0] + e[1] == d})
 
-    def compose(self, px: BivarPoly, py: BivarPoly) -> BivarPoly:
-        """Substitute x -> px, y -> py (used by affine-invariance checks)."""
-        xi = self.deg_in("x")
-        yj = self.deg_in("y")
-        xp = [BivarPoly.constant(1)]
-        for _ in range(max(xi, 0)):
-            xp.append(xp[-1] * px)
-        yp = [BivarPoly.constant(1)]
-        for _ in range(max(yj, 0)):
-            yp.append(yp[-1] * py)
-        acc = BivarPoly()
-        for (i, j), c in self._terms.items():
-            acc = acc + (xp[i] * yp[j]).scale(c)
-        return acc
-
     def coeffs_in(self, var: str) -> list[list[int | Fraction]]:
         """Coefficients as coefficient lists in the other variable, index =
         power of var."""

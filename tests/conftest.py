@@ -27,13 +27,27 @@ def even_sum_tuples(max_entry: int, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
+def compose(f: BivarPoly, px: BivarPoly, py: BivarPoly) -> BivarPoly:
+    """f with x -> px and y -> py substituted."""
+    xp = [BivarPoly.constant(1)]
+    for _ in range(max(f.deg_in("x"), 0)):
+        xp.append(xp[-1] * px)
+    yp = [BivarPoly.constant(1)]
+    for _ in range(max(f.deg_in("y"), 0)):
+        yp.append(yp[-1] * py)
+    acc = BivarPoly()
+    for (i, j), c in f.items():
+        acc = acc + (xp[i] * yp[j]).scale(c)
+    return acc
+
+
 def affine_image(f: BivarPoly, m: tuple[tuple[int, int], tuple[int, int]],
                  t: tuple[int, int]) -> BivarPoly:
     """f composed with the affine map (x, y) -> M(x, y) + t."""
     (a, b), (c, d) = m
     px = BivarPoly({(1, 0): a, (0, 1): b, (0, 0): t[0]})
     py = BivarPoly({(1, 0): c, (0, 1): d, (0, 0): t[1]})
-    return f.compose(px, py)
+    return compose(f, px, py)
 
 
 def random_unimodular(rng: random.Random, steps: int = 4) -> tuple[tuple[int, int], tuple[int, int]]:

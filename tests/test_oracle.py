@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 import bsinf.oracle as oracle
 from bsinf.invariant import k_at_infinity
 from bsinf.oracle import (
-    _bisect_bracket,
     _circle_grid,
-    _ev_at,
     _event_windows,
+    _extremum,
     _intersection_angles,
-    _probe_even_event,
-    _refine_extremum,
     _scaled_evaluator,
+    _settle,
     _sign_windows,
     oracle_k,
 )
@@ -104,7 +102,8 @@ def test_radius_beyond_float_range_rejected(monkeypatch):
         with pytest.raises(ValueError, match="not finite floats"):
             oracle_k(f, radius_max)
     # 2^1023 is the largest finite radius; the scans are stubbed out
-    monkeypatch.setattr(oracle, "_intersection_angles", lambda *args: [])
+    monkeypatch.setattr(oracle, "_intersection_angles",
+                        lambda ev, radii, *args: [[] for _ in radii])
     assert oracle_k(f, 1023).radii_used[-1] == 2.0 ** 1023
 
 
@@ -144,26 +143,26 @@ def _bits(v: float) -> bytes:
 @given(small_integer_polys(), st.integers(4, 20), st.integers(1, 3),
        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4))
 def test_ev_grid_and_point_agree_within_horner_bound(f, exponent, rows, angles):
-    """One Horner code path: a rows x samples array call and 1-tuple calls at
-    the same float cos/sin agree bitwise, within (2d + 2) * 2^-52 * scale(R)
-    of the exact value of f(R cos, R sin) / R^d, also after a call at another
-    radius has replaced the table of scaled coefficients."""
+    """A rows x samples batch whose rows lie on different circles agrees
+    bitwise with each of its rows and each of its points evaluated alone, and
+    is within (2d + 2) * 2^-52 * scale(R) of the exact value of
+    f(R cos, R sin) / R^d."""
     ev, scale = _scaled_evaluator(f)
-    radius = 2.0 ** exponent
+    radii = [2.0 ** (exponent + r % 2) for r in range(rows)]
     d = f.degree
     theta = np.array([[a + 0.25 * r for a in angles] for r in range(rows)])
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    grid = ev(radius, cos_t, sin_t)
+    grid = ev(np.array(radii), cos_t, sin_t)
     assert grid.shape == theta.shape
-    ev(2.0 * radius, cos_t, sin_t)
-    bound = Fraction((2 * d + 2) * 2.0 ** -52 * scale(radius))
-    for c, s, g in zip(cos_t.ravel().tolist(), sin_t.ravel().tolist(), grid.ravel().tolist()):
-        point = ev(radius, (c,), (s,))
-        assert type(point) is float
-        assert _bits(point) == _bits(g)
-        exact = sum(coef * Fraction(radius) ** (i + j - d) * Fraction(c) ** i * Fraction(s) ** j
-                    for (i, j), coef in f.items())
-        assert abs(Fraction(point) - exact) <= bound
+    for radius, cos_r, sin_r, vals in zip(radii, cos_t, sin_t, grid):
+        assert list(map(_bits, ev(radius, cos_r, sin_r).tolist())) == list(map(_bits, vals.tolist()))
+        bound = Fraction((2 * d + 2) * 2.0 ** -52 * scale(radius))
+        for c, s, g in zip(cos_r.tolist(), sin_r.tolist(), vals.tolist()):
+            point = ev(radius, np.array([c]), np.array([s]))
+            assert point.shape == (1,) and _bits(float(point[0])) == _bits(g)
+            exact = sum(coef * Fraction(radius) ** (i + j - d) * Fraction(c) ** i
+                        * Fraction(s) ** j for (i, j), coef in f.items())
+            assert abs(Fraction(g) - exact) <= bound
 
 
 def _loop_windows(sgn) -> set[tuple[int, int]]:
@@ -226,19 +225,74 @@ def _loop_event_windows(vals, noise, dip_tol) -> set[tuple[int, int]]:
 @given(st.integers(1, 4), st.integers(2, 24), st.data())
 def test_event_windows_match_loop(rows, width, data):
     """Small integer values, so zero runs, sign changes and equal neighbouring
-    dips are common; each window comes once."""
-    noise, dip_tols = 0.5, data.draw(st.lists(st.sampled_from((0.5, 1.5, 2.5, 9.0)),
-                                              min_size=rows, max_size=rows))
+    dips are common; each window comes once, with its row.  The noise floor
+    and the dip bound differ by row, as in a batch that mixes radii."""
+    noises = data.draw(st.lists(st.sampled_from((0.5, 1.5)), min_size=rows, max_size=rows))
+    dip_tols = data.draw(st.lists(st.sampled_from((0.5, 1.5, 2.5, 9.0)),
+                                  min_size=rows, max_size=rows))
     cells = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
     vals = np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=float)
     theta = np.arange(vals.size, dtype=float).reshape(vals.shape)  # cell labels
-    lo, hi, flo, fhi = _event_windows(theta, vals, noise, np.array(dip_tols))
+    row, lo, hi, flo, fhi = _event_windows(theta, vals, np.array(noises), np.array(dip_tols))
     got = sorted(zip(lo.tolist(), hi.tolist()))
     expected = sorted((r * width + a, r * width + b) for r in range(rows)
-                      for a, b in _loop_event_windows(vals[r], noise, dip_tols[r]))
+                      for a, b in _loop_event_windows(vals[r], noises[r], dip_tols[r]))
     assert got == expected
+    assert row.tolist() == (lo // width).astype(int).tolist()
     assert flo.tolist() == vals.ravel()[lo.astype(int)].tolist()
     assert fhi.tolist() == vals.ravel()[hi.astype(int)].tolist()
+
+
+def _ev_at(ev, radius, t):
+    """Reference: f at one angle, with cos and sin from math."""
+    return float(ev(radius, np.array([math.cos(t)]), np.array([math.sin(t)]))[0])
+
+
+def _bisect_bracket(ev, radius, lo, hi, flo):
+    """Reference: bisect one sign-change bracket to 1e-12 angle width."""
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if flo * _ev_at(ev, radius, mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _refine_extremum(ev, radius, lo, hi, s):
+    """Reference: ternary-search the minimum of s*f over one window, for at
+    most 80 steps, stopping at its floating fixed point."""
+    for _ in range(80):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if s * _ev_at(ev, radius, m1) < s * _ev_at(ev, radius, m2):
+            if hi == m2:
+                break
+            hi = m2
+        else:
+            if lo == m1:
+                break
+            lo = m1
+    mid = 0.5 * (lo + hi)
+    return mid, _ev_at(ev, radius, mid)
+
+
+def _probe_even_event(ev, radius, lo, hi, s, noise, out):
+    """Reference: the even-event probe of one sign-constant window."""
+    t_ext, v_ext = _refine_extremum(ev, radius, lo, hi, s)
+    if s * v_ext < -noise:
+        out.append(_bisect_bracket(ev, radius, lo, t_ext, s))
+        out.append(_bisect_bracket(ev, radius, t_ext, hi, v_ext))
+    elif abs(v_ext) <= noise:
+        out.extend([t_ext, t_ext])
+
+
+def _settle_window(ev, radius, lo, hi, flo, fhi, noise, out):
+    """Reference: settle one window, point by point."""
+    if (flo > 0) != (fhi > 0):
+        out.append(_bisect_bracket(ev, radius, lo, hi, flo))
+    else:
+        _probe_even_event(ev, radius, lo, hi, 1.0 if flo > 0 else -1.0, noise, out)
 
 
 def _scan(ev, radius, lo, hi, n, depth, scale, deg, out, wrap):
@@ -270,11 +324,8 @@ def _scan(ev, radius, lo, hi, n, depth, scale, deg, out, wrap):
                 and max(abs(vlo), abs(vhi)) > 100.0 * noise):
             _scan(ev, radius, wlo, whi, oracle._SUBSCAN, depth - 1, scale, deg,
                   out, wrap=False)
-        elif (vlo > 0) != (vhi > 0):
-            out.append(_bisect_bracket(ev, radius, wlo, whi, vlo))
         else:
-            _probe_even_event(ev, radius, wlo, whi, 1.0 if vlo > 0 else -1.0,
-                              noise, out)
+            _settle_window(ev, radius, wlo, whi, vlo, vhi, noise, out)
 
 
 CUSP = parse_poly("y^2 - x^3")
@@ -282,33 +333,42 @@ LINE_PARABOLA = parse_poly("((y-x) - 1)*((y-x)^2 - (y+x))")
 TANGENT = parse_poly("25*(x^2 + y^2 - 256) + (3*x + 4*y - 80)^2")
 
 
+ONE = [1.0] * 4  # the scale of each radius as it is
+
+
 @settings(max_examples=40, deadline=None)
-@given(small_integer_polys(), st.integers(4, 20), st.sampled_from((64, 512, 2 ** 12)),
-       st.sampled_from((1, 3, 32)))
-@example(CUSP, 8, 2 ** 12, 1)
-@example(LINE_PARABOLA, 12, 64, 3)
-@example(parse_poly("(y-x-1)*(y-x-2)"), 20, 2 ** 12, 32)
+@given(small_integer_polys(), st.integers(4, 20), st.integers(1, 4),
+       st.sampled_from((64, 512, 2 ** 12)), st.sampled_from((1, 3, 32)),
+       st.lists(st.sampled_from((1.0, 1e4, 1e8)), min_size=4, max_size=4))
+@example(CUSP, 8, 3, 2 ** 12, 1, ONE)
+@example(LINE_PARABOLA, 12, 2, 64, 3, ONE)
+@example(parse_poly("(y-x-1)*(y-x-2)"), 17, 4, 2 ** 12, 32, ONE)
 # tangent to the circle of radius 16 at (48, 64)/5, then lifted and lowered
 # off it: dips that the levels below the top grid resolve
-@example(TANGENT, 4, 2 ** 12, 1)
-@example(TANGENT + BivarPoly.constant(Fraction(1, 1000)), 4, 2 ** 12, 1)
-@example(TANGENT - BivarPoly.constant(Fraction(1, 1000)), 4, 2 ** 12, 3)
-def test_intersection_angles_match_recursive_scan(f, exponent, grid, batch):
-    """The batched levels find bitwise the angles of the recursive scan, in
-    batches of any size."""
+@example(TANGENT, 4, 2, 2 ** 12, 1, ONE)
+@example(TANGENT + BivarPoly.constant(Fraction(1, 1000)), 4, 3, 2 ** 12, 1, ONE)
+@example(TANGENT - BivarPoly.constant(Fraction(1, 1000)), 4, 3, 2 ** 12, 3, ONE)
+def test_intersection_angles_match_recursive_scan(f, exponent, count, grid, batch, inflate):
+    """The scan of all radii together, in batches of any size that mix
+    radii, finds bitwise the angles of the recursive scan of each radius.
+    Scales inflated by radius make the noise floors and dip bounds of the
+    rows of a batch differ by up to 10^8."""
     ev, scale = _scaled_evaluator(f)
-    radius = 2.0 ** exponent
-    expected: list[float] = []
-    _scan(ev, radius, 0.0, 2.0 * math.pi, grid, oracle._MAX_DEPTH, scale(radius),
-          f.degree, expected, wrap=True)
-    expected = sorted(a % (2.0 * math.pi) for a in expected)
+    radii = [2.0 ** e for e in range(exponent, exponent + count)]
+    scales = [scale(r) * m for r, m in zip(radii, inflate)]
+    expected = []
+    for radius, s in zip(radii, scales):
+        angles: list[float] = []
+        _scan(ev, radius, 0.0, 2.0 * math.pi, grid, oracle._MAX_DEPTH, s, f.degree, angles,
+              wrap=True)
+        expected.append(sorted(a % (2.0 * math.pi) for a in angles))
     saved = oracle._BATCH
     oracle._BATCH = batch
     try:
-        got = _intersection_angles(ev, radius, _circle_grid(grid), scale(radius), f.degree)
+        got = _intersection_angles(ev, radii, _circle_grid(grid), scales, f.degree)
     finally:
         oracle._BATCH = saved
-    assert list(map(_bits, got)) == list(map(_bits, expected))
+    assert [list(map(_bits, a)) for a in got] == [list(map(_bits, a)) for a in expected]
 
 
 def _refine_extremum_80(ev, radius, lo, hi, s):
@@ -324,12 +384,54 @@ def _refine_extremum_80(ev, radius, lo, hi, s):
     return mid, _ev_at(ev, radius, mid)
 
 
+# windows: (radius index, lo, width, s); settling takes s from the sign of f(lo)
+_windows = st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 4.0 * math.pi),
+                              st.floats(1e-13, 1.0), st.sampled_from((1.0, -1.0))),
+                    min_size=1, max_size=6)
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_integer_polys(), st.integers(4, 20), st.floats(0.0, 4.0 * math.pi),
-       st.floats(1e-13, 1.0), st.sampled_from((1.0, -1.0)))
-def test_refine_extremum_stops_at_its_fixed_point(f, exponent, lo, width, s):
+@given(small_integer_polys(), st.integers(4, 20), _windows)
+def test_refine_extremum_stops_at_its_fixed_point(f, exponent, windows):
+    """The lockstep search, with windows on several circles stopping at
+    different steps, ends where the full 80-step search of each ends."""
     ev, _ = _scaled_evaluator(f)
-    radius = 2.0 ** exponent
-    got = _refine_extremum(ev, radius, lo, lo + width, s)
-    expected = _refine_extremum_80(ev, radius, lo, lo + width, s)
-    assert tuple(map(_bits, got)) == tuple(map(_bits, expected))
+    radius = np.array([2.0 ** (exponent + k) for k, _, _, _ in windows])
+    lo = np.array([a for _, a, _, _ in windows])
+    hi = np.array([a + w for _, a, w, _ in windows])
+    s = np.array([s for _, _, _, s in windows])
+    t, v = _extremum(ev, radius, lo, hi, s)
+    for k in range(len(windows)):
+        expected = _refine_extremum_80(ev, float(radius[k]), float(lo[k]), float(hi[k]), s[k])
+        assert (_bits(t[k]), _bits(v[k])) == tuple(map(_bits, expected))
+
+
+# around the tangent point of TANGENT on the circle of radius 16: a contact,
+# two crossings and one crossing when the curve is lowered, and a window on
+# the next circle
+_AT_TANGENT = [(0, 0.92, 0.02, 1.0), (0, 0.85, 0.15, 1.0), (0, 0.9, 0.1, 1.0),
+               (1, 0.92, 0.02, 1.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_integer_polys(), st.integers(4, 20), _windows)
+@example(TANGENT, 4, _AT_TANGENT)
+@example(TANGENT + BivarPoly.constant(Fraction(1, 1000)), 4, _AT_TANGENT)
+@example(TANGENT - BivarPoly.constant(Fraction(1, 1000)), 4, _AT_TANGENT)
+def test_settle_matches_scalar_reference(f, exponent, windows):
+    """Settling windows of several circles in lockstep finds bitwise the
+    angles of the point-by-point bisections and even-event probes."""
+    ev, scale = _scaled_evaluator(f)
+    radii = np.array([2.0 ** (exponent + k) for k in range(3)])
+    noise = 1e-15 * np.array([scale(r) for r in radii.tolist()])
+    row = np.array([k for k, _, _, _ in windows])
+    lo = np.array([a for _, a, _, _ in windows])
+    hi = np.array([a + w for _, a, w, _ in windows])
+    flo = np.array([_ev_at(ev, radii[k], a) for k, a in zip(row.tolist(), lo.tolist())])
+    fhi = np.array([_ev_at(ev, radii[k], b) for k, b in zip(row.tolist(), hi.tolist())])
+    expected: list[list[float]] = [[] for _ in radii]
+    for k, a, b, va, vb in zip(*(x.tolist() for x in (row, lo, hi, flo, fhi))):
+        _settle_window(ev, radii[k], a, b, va, vb, noise[k], expected[k])
+    expected = [sorted(a % (2.0 * math.pi) for a in angles) for angles in expected]
+    got = _settle(ev, radii, noise, row, lo, hi, flo, fhi)
+    assert [list(map(_bits, a)) for a in got] == [list(map(_bits, a)) for a in expected]
