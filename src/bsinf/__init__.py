@@ -9,7 +9,8 @@ floating-point oracle.
 
 The names below are the calls the README and the CLI make, the types they
 return and the errors they raise; the layers behind them are importable from
-their submodules.
+their submodules.  The oracle's names, `oracle_k` and `OracleReport`, load
+`bsinf.oracle` on first use, so the exact pipeline never imports it.
 """
 
 from .errors import (
@@ -33,12 +34,25 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .oracle import OracleReport, oracle_k
 from .parsing import parse_poly
 from .poly import BivarPoly, squarefree_part
 from .projective import DirectionS1, ProjPointAtInfinity
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("OracleReport", "oracle_k")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORACLE_NAMES))
+
 
 __all__ = [
     "BivarPoly",

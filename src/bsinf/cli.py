@@ -24,7 +24,6 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .oracle import oracle_k
 from .parsing import MAX_TERMS, parse_poly
 from .poly import BivarPoly, squarefree_part
 
@@ -44,11 +43,13 @@ def _read_tuple_arg(arg: str, degree) -> KInvariant:
     """The tuple in arg.  It is refused when the curve the command builds
     from it, of degree `degree(tuple)`, could have more terms than the
     parser accepts in an input curve: C(d + 2, 2) > MAX_TERMS."""
-    parts = [p.strip() for p in arg.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in arg.split(",")]
+    if not any(parts):
         raise ValueError("empty tuple")
     entries = []
     for p in parts:
+        if not p:
+            raise ValueError(f"empty tuple entry in {arg!r}")
         # isdigit() alone also takes '²' or '٢', which int() refuses or reads
         if not (p.isascii() and p.isdigit()) or int(p) < 1:
             raise ValueError(f"tuple entries must be positive integers, got {p!r}")
@@ -175,6 +176,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .oracle import oracle_k  # numpy and the oracle load for this command alone
+
     f = _read_curve_arg(args.curve)
     exact = k_at_infinity(f)
     # the invariant concerns the zero set: a repeated factor would read to the

@@ -47,7 +47,6 @@ radius 1/epsilon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
@@ -55,6 +54,7 @@ from itertools import count
 from .errors import NonTransverseCircleError
 from .poly import (
     BivarPoly,
+    Record,
     _list_add,
     _list_mul,
     _primitive_ints,
@@ -66,16 +66,17 @@ from .projective import ProjPointAtInfinity, leading_form
 from .roots import _sign_at, isolate_real_roots, root_bound, sign_variations, sturm_chain
 
 
-@dataclass(frozen=True)
-class Sectors:
+class Sectors(Record):
     """The rotation M = (c, s) of the circle parametrization, the finite
     separators in increasing order (t = oo closes the list), and per sector,
     from t = -oo up, its point at infinity and side (+1 for the direction
     +(alpha, beta) of the point's representative, -1 for its antipode)."""
 
-    rotation: tuple[Fraction, Fraction]
-    separators: tuple[Fraction, ...]
-    labels: tuple[tuple[ProjPointAtInfinity, int], ...]
+    __slots__ = ("rotation", "separators", "labels")
+
+    def __init__(self, rotation: tuple[Fraction, Fraction], separators: tuple[Fraction, ...],
+                 labels: tuple[tuple[ProjPointAtInfinity, int], ...]):
+        super().__init__(rotation, separators, labels)
 
 
 def _rotation(lf: BivarPoly) -> tuple[Fraction, Fraction]:

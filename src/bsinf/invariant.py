@@ -9,25 +9,23 @@ entry sum is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeZeroError, NotRealizableError, ZeroPolynomialError
 from .germs import half_branch_counts
-from .poly import BivarPoly
+from .poly import BivarPoly, Record
 from .projective import DirectionS1, ProjPointAtInfinity, direction_pair, points_at_infinity
 
 
-@dataclass(frozen=True)
-class DirectionCount:
+class DirectionCount(Record):
     """A unit direction together with the number of branches tangent to it."""
 
-    direction: DirectionS1
-    count: int
+    __slots__ = ("direction", "count")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, direction: DirectionS1, count: int):
+        if count < 1:
             raise ValueError("zero counts are dropped, not stored")
+        super().__init__(direction, count)
 
 
 class KInvariant:
@@ -109,26 +107,25 @@ class NormalFormDescriptor:
         return f"NormalFormDescriptor({self.pairs!r})"
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(Record):
     """Per-point summary: the two antipodal directions with their counts
     (a side with no branches is None) and whether the counts are certified."""
 
-    point: ProjPointAtInfinity
-    plus: DirectionCount | None
-    minus: DirectionCount | None
-    certified: bool
+    __slots__ = ("point", "plus", "minus", "certified")
+
+    def __init__(self, point: ProjPointAtInfinity, plus: DirectionCount | None,
+                 minus: DirectionCount | None, certified: bool):
+        super().__init__(point, plus, minus, certified)
 
 
-@dataclass(frozen=True)
-class InfinityReport:
+class InfinityReport(Record):
     """User-facing summary of the structure of a curve at infinity."""
 
-    input_text: str
-    records: tuple[PointRecord, ...]
-    k: KInvariant
-    descriptor: NormalFormDescriptor
-    bounded: bool
+    __slots__ = ("input_text", "records", "k", "descriptor", "bounded")
+
+    def __init__(self, input_text: str, records: tuple[PointRecord, ...], k: KInvariant,
+                 descriptor: NormalFormDescriptor, bounded: bool):
+        super().__init__(input_text, records, k, descriptor, bounded)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,18 @@ bisections and extremum searches advance in lockstep, with one evaluation of
 all their live points per step.
 
 Advisory only — the exact pipeline is authoritative; this module exists to
-cross-validate it and deliberately shares none of its machinery.  numpy is
-imported by the scans that use it, so only the `check` command pays for it.
+cross-validate it and deliberately shares none of its machinery.  Nothing
+imports this module until it is used: the `check` command imports it when it
+runs, and the package's `oracle_k` and `OracleReport` load it on first
+access.  numpy is imported by the scans that use it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
-from .poly import BivarPoly
+from .poly import BivarPoly, Record
 
 _TWO_PI = 2.0 * math.pi
 _FIRST_EXPONENT = 4  # the circles have radii 2^4, 2^5, ..., 2^radius_max
@@ -34,15 +35,18 @@ _MAX_DEPTH = 3    # nested refinement levels
 _MIN_WIDTH = 1e-11  # do not refine windows narrower than this (radians)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Estimated limit directions with branch counts per direction."""
+class OracleReport(Record):
+    """Estimated limit directions with branch counts per direction; `samples`
+    holds a row (radius, angle, x, y) for every detected intersection and is
+    left out of the repr."""
 
-    directions: tuple[tuple[tuple[float, float], int], ...]
-    stable: bool
-    radii_used: tuple[float, ...]
-    samples: tuple[tuple[float, float, float, float], ...] = field(default=(), repr=False)
-    # samples rows: (radius, angle, x, y) for every detected intersection
+    __slots__ = ("directions", "stable", "radii_used", "samples")
+    _unshown = ("samples",)
+
+    def __init__(self, directions: tuple[tuple[tuple[float, float], int], ...], stable: bool,
+                 radii_used: tuple[float, ...],
+                 samples: tuple[tuple[float, float, float, float], ...] = ()):
+        super().__init__(directions, stable, radii_used, samples)
 
 
 def _scaled_evaluator(f: BivarPoly):

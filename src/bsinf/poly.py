@@ -19,6 +19,9 @@ sign), one product, one derivative, one exact quotient and one
 sign-preserving pseudo-remainder in Z[t].  The Bareiss resultant, the Sturm
 chains of `bsinf.roots`, the circle polynomials of `bsinf.germs` and the
 factoring of `bsinf.factor` all run on them.
+
+`Record`, at the end, is the base of the package's immutable records: every
+module that defines one imports this module anyway.
 """
 
 from __future__ import annotations
@@ -511,3 +514,52 @@ def resultant(f: BivarPoly, g: BivarPoly, var: str) -> list[int | Fraction]:
     det = [sign * c for c in mat[-1][-1]]
     scale = df ** n * dg ** m
     return det if scale == 1 else [_rational(Fraction(c, scale)) for c in det]
+
+
+# ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the package's immutable value records.
+
+    A record class derives from Record directly and lists its fields in
+    `__slots__`, in constructor order.  Its `__init__` validates or
+    normalizes them and hands them on, in that order, to `Record.__init__`,
+    the one place that stores them.  Records of one class compare and hash
+    as the tuple of their fields; a record never equals one of another
+    class.  The repr names each field except those in `_unshown`.
+    Assignment and deletion raise AttributeError, and pickling or copying
+    calls the constructor again with the fields."""
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()

@@ -8,10 +8,9 @@ leading form has an irrational real projective root is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegreeZeroError, IrrationalDirectionError, ZeroPolynomialError
-from .poly import BivarPoly
+from .poly import BivarPoly, Record
 from .roots import isolate_real_roots
 
 
@@ -25,32 +24,30 @@ def _normalize_pair(a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class ProjPointAtInfinity:
+class ProjPointAtInfinity(Record):
     """A real projective point [α : β] on the line at infinity, with the unique
     primitive representative having α > 0, or α = 0 and β > 0."""
 
-    rep: tuple[int, int]
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rep", _normalize_pair(*self.rep))
+    def __init__(self, rep: tuple[int, int]):
+        super().__init__(_normalize_pair(*rep))
 
     def __str__(self) -> str:
         return f"[{self.rep[0]} : {self.rep[1]}]"
 
 
-@dataclass(frozen=True)
-class DirectionS1:
+class DirectionS1(Record):
     """A direction on the unit circle, stored as a primitive integer pair."""
 
-    rep: tuple[int, int]
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        a, b = self.rep
+    def __init__(self, rep: tuple[int, int]):
+        a, b = rep
         if a == 0 and b == 0:
             raise ValueError("(0, 0) is not a direction")
         g = math.gcd(abs(a), abs(b))
-        object.__setattr__(self, "rep", (a // g, b // g))
+        super().__init__((a // g, b // g))
 
     @property
     def unit(self) -> tuple[float, float]:

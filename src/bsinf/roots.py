@@ -13,28 +13,25 @@ germs use both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import _int_exact_div, _int_pseudo_remainder, _list_derivative, _primitive_ints
+from .poly import Record, _int_exact_div, _int_pseudo_remainder, _list_derivative, _primitive_ints
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(Record):
     """An interval containing exactly one real root of the polynomial it isolates.
 
     If exact_point is set, low == high == exact_point and the root is rational.
     """
 
-    low: Fraction
-    high: Fraction
-    exact_point: Fraction | None = None
+    __slots__ = ("low", "high", "exact_point")
 
-    def __post_init__(self):
-        if self.low > self.high:
+    def __init__(self, low: Fraction, high: Fraction, exact_point: Fraction | None = None):
+        if low > high:
             raise ValueError("low > high")
-        if self.exact_point is not None and not (self.low == self.high == self.exact_point):
+        if exact_point is not None and not (low == high == exact_point):
             raise ValueError("exact interval must be degenerate")
+        super().__init__(low, high, exact_point)
 
     @property
     def width(self) -> Fraction:

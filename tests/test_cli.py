@@ -153,6 +153,25 @@ def test_tuple_entries_are_ascii_digits(capsys, argv, message):
     assert err.strip().splitlines() == [message]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["realize", "1,,1"], "error: empty tuple entry in '1,,1'"),
+    (["realize", "1, ,1"], "error: empty tuple entry in '1, ,1'"),
+    (["realize", ",2"], "error: empty tuple entry in ',2'"),
+    (["normal-form", "2,"], "error: empty tuple entry in '2,'"),
+    (["realize", ""], "error: empty tuple"),
+    (["realize", ","], "error: empty tuple"),
+], ids=["inner", "inner-blank", "leading", "trailing", "empty", "comma"])
+def test_empty_tuple_entries_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == [message]
+
+
+def test_blanks_around_tuple_entries_are_accepted(capsys):
+    assert run(capsys, "realize", " 2")[:2] == run(capsys, "realize", "2")[:2]
+    assert run(capsys, "normal-form", " 1 , 1 ")[:2] == run(capsys, "normal-form", "1,1")[:2]
+
+
 def test_refused_degree_is_the_degree_of_the_built_curve():
     for t in even_sum_tuples(4, 4):
         eta = KInvariant(t)
@@ -255,14 +274,15 @@ def test_irrational_direction_reported(capsys):
 
 
 def test_check_disagreement_exit_4(capsys, monkeypatch):
-    import bsinf.cli as cli_mod
+    import bsinf.oracle as oracle_mod
     from bsinf.oracle import OracleReport
 
     def bogus_oracle(f, radius_max=20):
         return OracleReport(directions=(((1.0, 0.0), 7),), stable=True,
                             radii_used=(16.0,), samples=())
 
-    monkeypatch.setattr(cli_mod, "oracle_k", bogus_oracle)
+    # `check` imports oracle_k from bsinf.oracle when it runs
+    monkeypatch.setattr(oracle_mod, "oracle_k", bogus_oracle)
     code, out, _ = run(capsys, "check", "y^2 - x^3")
     assert code == 4 and "DISAGREE" in out
 
@@ -295,11 +315,38 @@ def test_exact_commands_import_neither_sympy_nor_numpy():
                            # an irrational direction is refused before factoring
                            (["invariant", "y^2 - 2*x^2"], 1)):
             assert main(argv) == code, argv
-        print(json.dumps(sorted(m for m in ("sympy", "numpy") if m in sys.modules)))
+        unused = ("sympy", "numpy", "bsinf.oracle", "dataclasses")
+        print(json.dumps(sorted(m for m in unused if m in sys.modules)))
     """
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_oracle_names_load_on_first_use():
+    code = """if True:
+        import sys
+        import bsinf
+        assert "bsinf.oracle" not in sys.modules
+        assert {"oracle_k", "OracleReport"} <= set(dir(bsinf))
+        assert bsinf.oracle_k is bsinf.oracle.oracle_k
+        assert bsinf.OracleReport is bsinf.oracle.OracleReport
+        assert "numpy" not in sys.modules
+        try:
+            bsinf.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("unknown attribute")
+        namespace = {}
+        exec("from bsinf import *", namespace)
+        assert set(bsinf.__all__) <= set(namespace)
+        assert namespace["oracle_k"] is bsinf.oracle.oracle_k
+        print("ok")
+    """
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_check_runs_in_a_fresh_process():

@@ -14,6 +14,7 @@ from bsinf.oracle import (
     _event_windows,
     _extremum,
     _intersection_angles,
+    _rescan,
     _scaled_evaluator,
     _settle,
     _sign_windows,
@@ -369,6 +370,40 @@ def test_intersection_angles_match_recursive_scan(f, exponent, count, grid, batc
     finally:
         oracle._BATCH = saved
     assert [list(map(_bits, a)) for a in got] == [list(map(_bits, a)) for a in expected]
+
+
+def test_rescan_batch_keeps_each_rows_dip_bound():
+    """A batch that mixes radii rescans each window as it would be rescanned
+    alone, with its own row's noise floor and dip bound.  The window on the
+    circle of radius 16 hides two crossings of the lowered TANGENT between
+    two adjacent samples: only its dip bound opens the windows in which the
+    even-event probe finds them.  The scales of the other rows are deflated
+    by 10^12, so a dip bound taken from any other row misses the pair."""
+    f = TANGENT - BivarPoly.constant(Fraction(1, 10 ** 7))
+    ev, scale = _scaled_evaluator(f)
+    radii = np.array([16.0, 64.0, 256.0, 2.0 ** 20])
+    scales = np.array([scale(r) for r in radii.tolist()]) * [1.0, 1e-12, 1e-12, 1e-12]
+    noise = 1e-15 * scales
+    bernstein = 2.0 * f.degree ** 2 * scales
+    # the tangent angle midway between two samples of a window of width 3
+    width, k = 3.0, oracle._SUBSCAN // 2
+    start = math.atan2(4.0, 3.0) - (k + 0.5) * width / oracle._SUBSCAN
+    row = np.array([1, 0, 2, 3])
+    lo = np.array([0.0, start, 2.0, 4.0])
+    hi = lo + width
+
+    def windows(found):
+        return sorted(zip(*(a.tolist() for a in found)))
+
+    alone = [_rescan(ev, radii, noise, bernstein, row[j:j + 1], lo[j:j + 1], hi[j:j + 1])
+             for j in range(len(row))]
+    found = _rescan(ev, radii, noise, bernstein, row, lo, hi)
+    assert windows(found) == sorted(w for one in alone for w in windows(one))
+    # the pair is hidden: the windows around its dip have no sign change
+    assert len(alone[1][0]) == 2 and (alone[1][3] > 0).all() and (alone[1][4] > 0).all()
+    angles = _settle(ev, radii, noise, *found)
+    assert [len(a) for a in angles] == [2, 0, 0, 0]
+    assert all(abs(a - math.atan2(4.0, 3.0)) < 0.01 for a in angles[0])
 
 
 def _refine_extremum_80(ev, radius, lo, hi, s):
