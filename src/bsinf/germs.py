@@ -42,13 +42,24 @@ eliminations, clearances or smallest root magnitudes.
 
 The only uncertified counts are those of the whole curve at a caller-chosen
 radius 1/epsilon.
+
+Per factor and per curve.  The normal forms and realizations are built from
+one family of lines and parabolas, so curves counted in one process share
+most of their factors.  Two parts of the certificate depend on the factor
+alone and are cached per process, in a `functools.lru_cache` of 1024
+entries each: the transversality clause Bx^2 + By^2, keyed on u, and the
+Sturm chain of u on the circle, keyed on u, R and the rotation (the
+restriction reads no separator).  Each curve computes its own separator-ray
+clause, so its own R, and the sign variations at its own separators.
+Exceptions are not cached.  The count of the whole curve at radius
+1/epsilon is never cached, so a large input does not fill the cache.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import count
 
 from .errors import NonTransverseCircleError
@@ -162,23 +173,55 @@ def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list
     return acc
 
 
-def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
-    """Points of {g = 0} on the circle of the given radius, per sector.
+_ON_SEPARATOR = ("the circle meets the curve on a separator ray; "
+                 "counts by sector are undefined at this radius")
+
+
+def _circle_chain(g: BivarPoly, radius: int | Fraction,
+                  sectors: Sectors) -> tuple[tuple[int, ...], ...]:
+    """The Sturm chain of `_restriction(g, radius, sectors)`, which depends on
+    the sectors only through their rotation.
 
     Raises NonTransverseCircleError when the circle is a component of
-    {g = 0}, and ValueError when a curve point lies on a separator ray.
+    {g = 0}, and ValueError when a curve point lies on the ray at t = oo.
     """
     p = _restriction(g, radius, sectors)
     if not p:
         raise NonTransverseCircleError("the sample circle lies inside the curve")
-    # the t^(2 deg g) coefficient of p is g(p(oo)), and chain[0], p made
-    # primitive, has the roots of p
-    chain = sturm_chain(p)
-    if len(p) - 1 < 2 * g.degree or any(_sign_at(chain[0], t) == 0 for t in sectors.separators):
-        raise ValueError("the circle meets the curve on a separator ray; "
-                         "counts by sector are undefined at this radius")
+    # the t^(2 deg g) coefficient of p is g(p(oo))
+    if len(p) - 1 < 2 * g.degree:
+        raise ValueError(_ON_SEPARATOR)
+    return tuple(map(tuple, sturm_chain(p)))
+
+
+@lru_cache(maxsize=1024)
+def _factor_chain(u: BivarPoly, radius: int | Fraction,
+                  rotation: tuple[Fraction, Fraction]) -> tuple[tuple[int, ...], ...]:
+    """`_circle_chain` of a counted factor, cached per process on (u, R,
+    rotation): curves that share the factor, its radius and the rotation
+    share the chain, whatever their separators."""
+    # the restriction reads the rotation alone: sectors with no separators will do
+    return _circle_chain(u, radius, Sectors(rotation, (), ()))
+
+
+def _sector_counts(chain: tuple[tuple[int, ...], ...], sectors: Sectors) -> list[int]:
+    """Roots of chain[0] per sector, from the sign variations of its Sturm
+    chain at the separators; ValueError when a separator is a root."""
+    # chain[0], p made primitive, has the roots of p
+    if any(_sign_at(chain[0], t) == 0 for t in sectors.separators):
+        raise ValueError(_ON_SEPARATOR)
     variations = [sign_variations(chain, t) for t in (-math.inf, *sectors.separators, math.inf)]
     return [a - b for a, b in zip(variations, variations[1:])]
+
+
+def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
+    """Points of {g = 0} on the circle of the given radius, per sector, from
+    the chain that `_factor_chain` caches.
+
+    Raises NonTransverseCircleError when the circle is a component of
+    {g = 0}, and ValueError when a curve point lies on a separator ray.
+    """
+    return _sector_counts(_factor_chain(g, radius, sectors.rotation), sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +241,19 @@ def _elim(a: BivarPoly, b: BivarPoly, var: str) -> list[int]:
     return r
 
 
+@lru_cache(maxsize=1024)
+def _transversality_square(u: BivarPoly) -> Fraction:
+    """Bx^2 + By^2 for a counted irreducible u (see the module docstring),
+    cached per process: it depends on u alone."""
+    h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
+    return root_bound(_elim(u, h, "y")) ** 2 + root_bound(_elim(u, h, "x")) ** 2
+
+
 def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
     """The certified radius R of a counted irreducible u: the first power of
     2 whose square exceeds Bx^2 + By^2 and the squared radius bound of the
     points of u on each separator ray (see the module docstring)."""
-    h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
-    squares = [root_bound(_elim(u, h, "y")) ** 2 + root_bound(_elim(u, h, "x")) ** 2]
+    squares = [_transversality_square(u)]
     # each ray direction v = (a, b)/q in integers: M(1 - t^2, 2t) for the
     # separators t = n/m, over the rotation's denominator times m^2, and
     # -M(1, 0) for t = oo
@@ -267,7 +317,7 @@ def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
         per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
                                                 for u in counted_factors(f, points)))]
     else:
-        per_sector = _signed_counts(f, 1 / epsilon, sectors)
+        per_sector = _sector_counts(_circle_chain(f, 1 / epsilon, sectors), sectors)
     counts = {p: [0, 0] for p in points}
     for (point, side), n in zip(sectors.labels, per_sector):
         counts[point][0 if side > 0 else 1] += n

@@ -1,5 +1,8 @@
 import functools
 import math
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsinf import germs
+from bsinf import germs, poly
 from bsinf.errors import NonTransverseCircleError
 from bsinf.germs import (
     _certified_bound,
@@ -18,7 +21,13 @@ from bsinf.germs import (
     counted_factors,
     half_branch_counts,
 )
-from bsinf.invariant import k_at_infinity
+from bsinf.invariant import (
+    KInvariant,
+    canonical_descriptor,
+    emit_normal_form,
+    k_at_infinity,
+    realize_tuple,
+)
 from bsinf.parsing import parse_poly
 from bsinf.poly import BivarPoly, _list_mul, squarefree_part
 from bsinf.projective import (
@@ -388,3 +397,155 @@ def test_angle_order_labels_match_cross_matching_on_corpus():
         points = points_at_infinity(sf)
         if points:
             assert_sectors_match_cross_matching(sf, points)
+
+
+# ---------------------------------------------------------------------------
+# per-process caches of the per-factor certificate
+# ---------------------------------------------------------------------------
+
+def clear_factor_caches() -> None:
+    germs._transversality_square.cache_clear()
+    germs._factor_chain.cache_clear()
+
+
+# lines, parabolas and the cusp, and their images under three unimodular
+# maps: products of these share factors across curves whose separators, and
+# so whose separator-ray clauses and radii R, differ
+SHARED_POOL = [parse_poly(text) for text in [
+    "y - x - 1", "x + 2", "y + 2*x - 3", "(y - x)^2 - (y + x)", "y - x^2", "y^2 - x^3"]]
+SHARED_POOL += [affine_image(u, m, shift) for m, shift in [(((1, 1), (0, 1)), (0, -2)),
+                                                          (((2, 1), (1, 1)), (1, 0)),
+                                                          (((0, 1), (1, 0)), (0, 0))]
+                for u in SHARED_POOL]
+
+
+def product_of(indices: list[int]) -> BivarPoly:
+    return functools.reduce(lambda f, i: f * SHARED_POOL[i], indices, BivarPoly.constant(1))
+
+
+def certificate(f: BivarPoly, fresh) -> tuple:
+    """R and the sector counts at R of each counted factor of f, and the
+    records of f; fresh() runs before each query."""
+    points = points_at_infinity(f)
+    sectors = circle_sectors(f, points)
+    per_factor = []
+    for u in counted_factors(f, points):
+        fresh()
+        radius = _certified_bound(u, sectors)
+        fresh()
+        per_factor.append((u, radius, _signed_counts(u, radius, sectors)))
+    fresh()
+    return per_factor, k_at_infinity(f).records
+
+
+def test_shared_pool_factors_get_radii_that_differ_by_curve():
+    radii = {}
+    for i, j in [(0, 1), (0, 2), (0, 3), (0, 5), (5, 4), (5, 1)]:
+        for u, radius, _ in certificate(product_of([i, j]), lambda: None)[0]:
+            radii.setdefault(u, set()).add(radius)
+    for u in (SHARED_POOL[0], SHARED_POOL[5]):
+        assert len(radii[u.normalized_primitive()]) > 1, str(u)
+
+
+index = st.integers(0, len(SHARED_POOL) - 1)
+
+
+@given(index, st.lists(index, min_size=1, max_size=2), st.lists(index, min_size=1, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_warm_caches_give_the_cold_answers(shared, first, second):
+    curves = [product_of([shared, *first]), product_of([shared, *second])]
+    clear_factor_caches()
+    warm = [certificate(f, lambda: None) for f in curves]
+    assert germs._transversality_square.cache_info().hits > 0
+    cold = [certificate(f, clear_factor_caches) for f in curves]
+    assert warm == cold
+
+
+def test_exceptions_are_not_cached():
+    # the circle of radius 2 is a component of the first curve, and the second
+    f = parse_poly("(x^2 + y^2 - 4)*(y - x)")
+    circle = parse_poly("x^2 + y^2 - 4")
+    sectors = circle_sectors(f, points_at_infinity(f))
+    clear_factor_caches()
+    for g in (f, circle):
+        for _ in range(2):
+            with pytest.raises(NonTransverseCircleError):
+                _signed_counts(g, 2, sectors)
+    assert germs._factor_chain.cache_info().currsize == 0
+    assert sum(_signed_counts(f, 3, sectors)) == 2
+
+
+CRITERION_1 = [(1, 1), (1, 3), (2, 2), (3, 3), (1, 1, 2, 2), (2, 4), (1, 1, 1, 1), (1, 2, 3)]
+
+
+def criterion_1_curves() -> list[BivarPoly]:
+    """The normal form and the realization of each tuple, interleaved."""
+    return [curve for t in CRITERION_1
+            for curve in (emit_normal_form(canonical_descriptor(KInvariant(t))),
+                          realize_tuple(KInvariant(t)))]
+
+
+def calls_counted(monkeypatch, name: str, key) -> Counter:
+    calls: Counter = Counter()
+    original = getattr(germs, name)
+
+    def counted(*args):
+        calls[key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(germs, name, counted)
+    return calls
+
+
+def test_each_factor_is_certified_once_per_process(monkeypatch):
+    clear_factor_caches()
+    elims = calls_counted(monkeypatch, "_elim", lambda a, b, var: a)
+    resultants = calls_counted(monkeypatch, "resultant", lambda a, b, var: (a, var))
+    restrictions = calls_counted(monkeypatch, "_restriction",
+                                 lambda g, radius, sectors: (g, radius, sectors.rotation))
+    curves = criterion_1_curves()
+    for f, t in zip(curves, [t for t in CRITERION_1 for _ in (0, 1)]):
+        assert k_at_infinity(f).k.entries == t
+    monkeypatch.undo()
+    factors, circles = set(), set()
+    for f in curves:
+        points = points_at_infinity(f)
+        sectors = circle_sectors(f, points)
+        for u in counted_factors(f, points):
+            factors.add(u)
+            circles.add((u, _certified_bound(u, sectors), sectors.rotation))
+    assert len(circles) > len(factors) > 8  # shared factors, on circles that differ
+    assert elims == {u: 2 for u in factors}  # one elimination pair per factor
+    assert set(resultants.values()) == {1} and {u for u, _ in resultants} <= factors
+    assert restrictions == {circle: 1 for circle in circles}
+
+
+def test_threads_share_cold_caches():
+    curves = criterion_1_curves()
+    clear_factor_caches()
+    sequential = [k_at_infinity(f).records for f in curves]
+    clear_factor_caches()
+    poly.irreducible_factors.cache_clear()
+    results: list = [None] * len(curves)
+    start = threading.Barrier(4)
+
+    def count(first: int) -> None:
+        start.wait(timeout=60)
+        for i in range(first, len(curves), 4):
+            try:
+                results[i] = k_at_infinity(curves[i]).records
+            except Exception as exc:  # reported by the comparison below
+                results[i] = exc
+
+    threads = [threading.Thread(target=count, args=(first,)) for first in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside cache lookups too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == sequential
