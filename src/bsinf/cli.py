@@ -24,7 +24,7 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .parsing import MAX_TERMS, parse_poly
+from .parsing import MAX_TERMS, MAX_TEXT, parse_poly
 from .poly import BivarPoly, squarefree_part
 
 _TUPLE_RE = re.compile(r"^[\d\s,]+$")
@@ -35,7 +35,8 @@ JSON_SCHEMA = "bsinf/1"
 def _read_curve_arg(arg: str) -> BivarPoly:
     if arg.startswith("@"):
         with open(arg[1:], "r", encoding="utf-8") as fh:
-            arg = fh.read()
+            # one character past the bound is enough for parse_poly to refuse
+            arg = fh.read(MAX_TEXT + 1)
     return parse_poly(arg)
 
 

@@ -51,11 +51,11 @@ from fractions import Fraction
 
 from .poly import (
     BivarPoly,
-    _int_pseudo_remainder,
     _list_add,
     _list_derivative,
     _list_mul,
     _primitive_ints,
+    _remainder_sequence,
     _trim,
 )
 
@@ -87,14 +87,8 @@ def _primitive(a: list[int]) -> list[int]:
 
 def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
     """The gcd of the primitive parts of nonzero a and b in Z[x], primitive
-    with a positive lead, by a primitive pseudo-remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_pseudo_remainder(a, b)
-        a, b = b, (_primitive(r) if r else r)
-    return a
+    with a positive lead: the last element of their remainder sequence."""
+    return _primitive(_remainder_sequence(a, b)[-1])
 
 
 # ---------------------------------------------------------------------------

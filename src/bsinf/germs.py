@@ -48,9 +48,10 @@ one family of lines and parabolas, so curves counted in one process share
 most of their factors.  Two parts of the certificate depend on the factor
 alone and are cached per process, in a `functools.lru_cache` of 1024
 entries each: the transversality clause Bx^2 + By^2, keyed on u, and the
-Sturm chain of u on the circle, keyed on u, R and the rotation (the
-restriction reads no separator).  Each curve computes its own separator-ray
-clause, so its own R, and the sign variations at its own separators.
+Sturm chain of u on the circle, `_circle_chain` itself keyed on its
+arguments u, R and the rotation (it reads no separator).  Each curve
+computes its own separator-ray clause, so its own R, and the sign
+variations at its own separators.
 Exceptions are not cached.  The count of the whole curve at radius
 1/epsilon is never cached, so a large input does not fill the cache.
 """
@@ -143,14 +144,15 @@ def _integer_rotation(rotation: tuple[Fraction, Fraction]) -> tuple[int, int, in
 # counting on one circle
 # ---------------------------------------------------------------------------
 
-def _restriction(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
+def _restriction(g: BivarPoly, radius: int | Fraction,
+                 rotation: tuple[Fraction, Fraction]) -> list[int]:
     """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius, times a
     positive constant that makes it an integer polynomial: the one that makes
     g primitive, times q^deg g for the denominators q of the rotation and the
     radius, with which p(t) = (X(t), Y(t))/(q*(1 + t^2)) for integer
     polynomials X, Y.  A positive factor changes no sign, so no root, Sturm
     count or sector count."""
-    a, b, q = _integer_rotation(sectors.rotation)
+    a, b, q = _integer_rotation(rotation)
     a, b, q = a * radius.numerator, b * radius.numerator, q * radius.denominator
     x = _trim([a, -2 * b, -a])
     y = _trim([b, 2 * a, -b])
@@ -178,14 +180,13 @@ _ON_SEPARATOR = ("the circle meets the curve on a separator ray; "
 
 
 def _circle_chain(g: BivarPoly, radius: int | Fraction,
-                  sectors: Sectors) -> tuple[tuple[int, ...], ...]:
-    """The Sturm chain of `_restriction(g, radius, sectors)`, which depends on
-    the sectors only through their rotation.
+                  rotation: tuple[Fraction, Fraction]) -> tuple[tuple[int, ...], ...]:
+    """The Sturm chain of `_restriction(g, radius, rotation)`.
 
     Raises NonTransverseCircleError when the circle is a component of
     {g = 0}, and ValueError when a curve point lies on the ray at t = oo.
     """
-    p = _restriction(g, radius, sectors)
+    p = _restriction(g, radius, rotation)
     if not p:
         raise NonTransverseCircleError("the sample circle lies inside the curve")
     # the t^(2 deg g) coefficient of p is g(p(oo))
@@ -194,14 +195,10 @@ def _circle_chain(g: BivarPoly, radius: int | Fraction,
     return tuple(map(tuple, sturm_chain(p)))
 
 
-@lru_cache(maxsize=1024)
-def _factor_chain(u: BivarPoly, radius: int | Fraction,
-                  rotation: tuple[Fraction, Fraction]) -> tuple[tuple[int, ...], ...]:
-    """`_circle_chain` of a counted factor, cached per process on (u, R,
-    rotation): curves that share the factor, its radius and the rotation
-    share the chain, whatever their separators."""
-    # the restriction reads the rotation alone: sectors with no separators will do
-    return _circle_chain(u, radius, Sectors(rotation, (), ()))
+# the chain of a counted factor, cached per process on (u, R, rotation):
+# curves that share the factor, its radius and the rotation share the chain,
+# whatever their separators
+_factor_chain = lru_cache(maxsize=1024)(_circle_chain)
 
 
 def _sector_counts(chain: tuple[tuple[int, ...], ...], sectors: Sectors) -> list[int]:
@@ -317,7 +314,7 @@ def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
         per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
                                                 for u in counted_factors(f, points)))]
     else:
-        per_sector = _sector_counts(_circle_chain(f, 1 / epsilon, sectors), sectors)
+        per_sector = _sector_counts(_circle_chain(f, 1 / epsilon, sectors.rotation), sectors)
     counts = {p: [0, 0] for p in points}
     for (point, side), n in zip(sectors.labels, per_sector):
         counts[point][0 if side > 0 else 1] += n

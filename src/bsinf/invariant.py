@@ -28,7 +28,7 @@ class DirectionCount(Record):
         super().__init__(direction, count)
 
 
-class KInvariant:
+class KInvariant(Record):
     """A nondecreasing tuple of positive integers: the complete invariant."""
 
     __slots__ = ("entries",)
@@ -39,17 +39,11 @@ class KInvariant:
             raise ValueError("entries must be positive")
         if any(a > b for a, b in zip(entries, entries[1:])):
             raise ValueError("entries must be nondecreasing")
-        self.entries = entries
+        super().__init__(entries)
 
     @classmethod
     def from_counts(cls, counts) -> KInvariant:
         return cls(tuple(sorted(int(c) for c in counts)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KInvariant) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -69,7 +63,7 @@ def norm1(eta: KInvariant) -> int:
     return sum(eta.entries)
 
 
-class NormalFormDescriptor:
+class NormalFormDescriptor(Record):
     """A list of pairs (r0, r1): per asymptotic direction pair, r0 lines and r1
     parabola factors in the canonical representative.  Ordered by r0, then r1."""
 
@@ -82,7 +76,7 @@ class NormalFormDescriptor:
                 raise ValueError("each pair must be nonzero with nonnegative entries")
         if list(pairs) != sorted(pairs):
             raise ValueError("pairs must be sorted by (r0, r1)")
-        self.pairs = pairs
+        super().__init__(pairs)
 
     def flat_counts(self) -> tuple[int, ...]:
         """The invariant tuple the descriptor realizes: per pair the two
@@ -93,12 +87,6 @@ class NormalFormDescriptor:
                 if c:
                     out.append(c)
         return tuple(sorted(out))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormalFormDescriptor) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
 
     def __str__(self) -> str:
         return "(" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + ")"

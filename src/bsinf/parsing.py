@@ -22,7 +22,8 @@ variables would (see `BivarPoly`), so that `irreducible_factors` still
 splits products piece by piece.  A sum adds every summand into one dict and
 builds one polynomial at the end; a sum of one summand is that summand.
 
-Hostile input is refused before it is expanded: parentheses and unary minus
+Hostile input is refused before it is expanded: a text longer than MAX_TEXT
+characters is refused before it is tokenized, parentheses and unary minus
 signs may nest at most MAX_NESTING deep, no power, product or exponent may
 exceed MAX_DEGREE, no power b^n is expanded when the largest coefficient of b,
 in bits, times n exceeds MAX_COEFF_BITS, and no power or product is expanded
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegreeZeroError, ParseError, ZeroPolynomialError
-from .poly import BivarPoly, _add_into, _canonical_terms
+from .poly import BivarPoly, _add_into, _canonical_terms, _rational
 
 MAX_NESTING = 100  # '(' and unary '-' levels; far below the recursion limit
 MAX_DEGREE = 512  # largest total degree or exponent; the test corpus reaches 24
@@ -48,6 +49,9 @@ MAX_COEFF_BITS = 1 << 16
 # term-count bound of a power, product or sum; the corpus reaches 246 terms
 # and (x + y + 1)^64 has 2145
 MAX_TERMS = 1 << 12
+# characters of a text; the CLI's largest output, normal-form 1,89, has
+# 176,471, and a sum of ones merges into one term however long it is
+MAX_TEXT = 1 << 20
 
 _DIGITS = "0123456789"
 _EXPONENT_DIGITS = len(str(MAX_DEGREE))
@@ -113,10 +117,6 @@ def _coeff_bits(f: _Value) -> int:
                 for c in coeffs if c), default=0)
 
 
-def _int_if_integral(c: int | Fraction) -> int | Fraction:
-    return c.numerator if type(c) is not int and c.denominator == 1 else c
-
-
 def _poly(f: _Value) -> BivarPoly:
     """f as a polynomial; a monomial gets the pieces x and/or y."""
     if type(f) is not tuple:
@@ -170,7 +170,7 @@ class _Parser:
                 raise ParseError(f"product of degree above {MAX_DEGREE}", op.pos)
             if type(acc) is tuple and type(rhs) is tuple:
                 c = acc[0] * rhs[0]
-                acc = (_int_if_integral(c), acc[1] + rhs[1], acc[2] + rhs[2]) if c else _ZERO
+                acc = (_rational(c), acc[1] + rhs[1], acc[2] + rhs[2]) if c else _ZERO
                 continue
             a, b = _poly(acc), _poly(rhs)
             if min(len(a._terms) * len(b._terms), math.comb(degree + 2, 2)) > MAX_TERMS:
@@ -223,7 +223,7 @@ class _Parser:
                 den = int(den_tok.text)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-                return (_int_if_integral(Fraction(num, den)), 0, 0)
+                return (_rational(Fraction(num, den)), 0, 0)
             return (num, 0, 0)
         if tok.kind == "(":
             self.nest(tok)
@@ -247,9 +247,12 @@ class _Parser:
 def parse_poly(text: str) -> BivarPoly:
     """Parse an expression over x, y into a fully expanded polynomial.
 
-    Raises ParseError (position-annotated) on malformed input, ZeroPolynomialError
-    if the expression expands to 0 and DegreeZeroError for a nonzero constant.
+    Raises ParseError (position-annotated) on malformed input or a text of
+    more than MAX_TEXT characters, ZeroPolynomialError if the expression
+    expands to 0 and DegreeZeroError for a nonzero constant.
     """
+    if len(text) > MAX_TEXT:
+        raise ParseError(f"text longer than {MAX_TEXT} characters", MAX_TEXT)
     parser = _Parser(_tokenize(text))
     result = _poly(parser.expr())
     trailing = parser.peek()

@@ -15,13 +15,15 @@ below.
 
 A univariate polynomial is a plain coefficient list (see the list section
 below), and each primitive on them has one implementation: one sum (with a
-sign), one product, one derivative, one exact quotient and one
-sign-preserving pseudo-remainder in Z[t].  The Bareiss resultant, the Sturm
-chains of `bsinf.roots`, the circle polynomials of `bsinf.germs` and the
-factoring of `bsinf.factor` all run on them.
+sign), one product, one derivative, one exact quotient, one
+sign-preserving pseudo-remainder in Z[t] and one primitive remainder
+sequence built on it.  The Bareiss resultant, the Sturm chains of
+`bsinf.roots`, the circle polynomials of `bsinf.germs` and the factoring of
+`bsinf.factor` all run on them; the Sturm chains and the gcds of the factor
+split are both the remainder sequence.
 
-`Record`, at the end, is the base of the package's immutable records: every
-module that defines one imports this module anyway.
+`Record`, at the end, is the base of every immutable value the package
+exports: every module that defines one imports this module anyway.
 """
 
 from __future__ import annotations
@@ -130,6 +132,20 @@ def _int_pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
             rem[k + i] -= top * c
         _trim(rem)
     return rem
+
+
+def _remainder_sequence(a: Sequence, b: Sequence) -> list[list[int]]:
+    """The primitive negated remainder sequence of a and b, a nonzero: a and
+    b made primitive, then each negated pseudo-remainder of the last two made
+    primitive, up to the last nonzero one, which is gcd(a, b) up to a nonzero
+    factor.  Each element is the rational one divided by a positive rational,
+    so the signs of a Sturm chain are kept (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 8)."""
+    seq, r = [_primitive_ints(a)], b
+    while r:
+        seq.append(_primitive_ints(r))
+        r = [-c for c in _int_pseudo_remainder(seq[-2], seq[-1])]
+    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Certified real-root tools for univariate polynomials over Q, given as
 the coefficient lists of `bsinf.poly`.
 
-Sturm-sequence sign-variation counting and bisection.  Rational roots are
-found exactly without factoring, and isolating intervals of the other roots
-never have roots at their endpoints.
+Sturm-sequence sign-variation counting and bisection.  A Sturm chain is the
+remainder sequence of `bsinf.poly`, the one the gcds of the factor split
+also run.  Rational roots are found exactly without factoring, and isolating
+intervals of the other roots never have roots at their endpoints.
 
 This module holds the one sign evaluator of the exact kernel, `_sign_at`,
 which works in integers at a rational point or at +-oo, and the one Cauchy
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Record, _int_exact_div, _int_pseudo_remainder, _list_derivative, _primitive_ints
+from .poly import Record, _int_exact_div, _list_derivative, _remainder_sequence
 
 
 class RootInterval(Record):
@@ -42,28 +43,15 @@ def sturm_chain(p: list) -> list[list[int]]:
     """Sturm chain of the squarefree part of p, with coprime integer
     coefficients.
 
-    The negated remainder sequence of p and p' ends in g = gcd(p, p');
-    divided by g it is a Sturm chain of p/g, which has the distinct roots of
-    p as simple roots.  The chain is built in integers from sign-preserving
-    pseudo-remainders (Basu, Pollack and Roy, Algorithms in Real Algebraic
-    Geometry, ch. 8): each step scales by |lc|, never by lc, so each
-    pseudo-remainder is a positive multiple of the rational remainder, and
-    dividing out its positive content leaves the same primitive polynomial.
-    So every element, hence every sign variation, is that of the rational
-    remainder sequence renormalized by positive factors.
+    The remainder sequence of p and p' (`poly._remainder_sequence`) ends in
+    g = gcd(p, p'); divided by g it is a Sturm chain of p/g, which has the
+    distinct roots of p as simple roots.  Each element is the rational
+    remainder renormalized by a positive factor, so every sign variation is
+    that of the rational remainder sequence.
     """
     if not p:
         raise ValueError("zero polynomial")
-    chain = [_primitive_ints(p)]
-    d = _list_derivative(chain[0])
-    if not d:
-        return chain
-    chain.append(_primitive_ints(d))
-    while True:
-        r = _int_pseudo_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive_ints([-c for c in r]))
+    chain = _remainder_sequence(p, _list_derivative(p))
     if len(chain[-1]) > 1:
         # q and g are primitive, so by Gauss's lemma q/g is an integer
         # polynomial, and a primitive one

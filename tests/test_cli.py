@@ -15,7 +15,7 @@ from bsinf.invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from bsinf.parsing import parse_poly
+from bsinf.parsing import MAX_TEXT, parse_poly
 
 from conftest import even_sum_tuples
 
@@ -229,6 +229,16 @@ def test_file_reference(tmp_path, capsys):
     assert code == 0 and "k = (1, 1)" in out
     code, _, err = run(capsys, "invariant", f"@{tmp_path}/missing.txt")
     assert code == 1
+
+
+def test_file_over_the_text_limit_exits_1(tmp_path, capsys):
+    # 1 + 1 + ... + 1 + x: the ones merge, so no term bound would stop it
+    target = tmp_path / "long.txt"
+    target.write_text("1+" * (MAX_TEXT // 2) + "x", encoding="utf-8")
+    code, out, err = run(capsys, "invariant", "--quiet", f"@{target}")
+    assert code == 1 and not out
+    assert len(err.splitlines()) == 1
+    assert f"at offset {MAX_TEXT}" in err
 
 
 def test_epsilon_override_marks_uncertified(capsys):

@@ -200,7 +200,7 @@ def test_plus_minus_equals_circle_count():
         sf, points, sectors, counted = circle_setup(f)
         for u in counted:
             counts = count_half_branches(u, sectors)
-            on_circle = _restriction(u, _certified_bound(u, sectors), sectors)
+            on_circle = _restriction(u, _certified_bound(u, sectors), sectors.rotation)
             assert sum(counts) == len(isolate_real_roots(on_circle)), str(u)
         total = sum(p + m for p, m in half_branch_counts(sf, points))
         assert total % 2 == 0
@@ -502,7 +502,7 @@ def test_each_factor_is_certified_once_per_process(monkeypatch):
     elims = calls_counted(monkeypatch, "_elim", lambda a, b, var: a)
     resultants = calls_counted(monkeypatch, "resultant", lambda a, b, var: (a, var))
     restrictions = calls_counted(monkeypatch, "_restriction",
-                                 lambda g, radius, sectors: (g, radius, sectors.rotation))
+                                 lambda g, radius, rotation: (g, radius, rotation))
     curves = criterion_1_curves()
     for f, t in zip(curves, [t for t in CRITERION_1 for _ in (0, 1)]):
         assert k_at_infinity(f).k.entries == t

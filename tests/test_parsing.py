@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf.errors import DegreeZeroError, ParseError, ZeroPolynomialError
-from bsinf.parsing import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_poly
+from bsinf.parsing import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    MAX_TERMS,
+    MAX_TEXT,
+    parse_poly,
+)
 from bsinf.poly import BivarPoly, irreducible_factors
 
 from conftest import reference_parse_poly
@@ -231,6 +238,18 @@ def test_package_normal_form_of_degree_89_parses_fast():
     t0 = time.perf_counter()
     assert parse_poly(text) == f
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_text_length_limit():
+    # about six times the largest text the CLI prints, normal-form 1,89
+    assert MAX_TEXT == 1 << 20
+    assert parse_poly(" " * (MAX_TEXT - 1) + "x") == BivarPoly.x()
+    # one more character is refused before the text is tokenized
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_poly(" " * MAX_TEXT + "x")
+    assert time.perf_counter() - t0 < 0.5
+    assert exc.value.offset == MAX_TEXT
 
 
 @pytest.mark.parametrize("text, offset", [("x^\u00b2", 2), ("\u00b2", 0), ("1/\u00b2", 2),

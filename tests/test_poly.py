@@ -334,7 +334,7 @@ def test_integral_coefficients_are_stored_as_int():
     sectors = circle_sectors(curve, points_at_infinity(curve))
     assert sectors.rotation == (Fraction(3, 5), Fraction(4, 5))
     for radius in (8, Fraction(7, 3)):
-        on_circle = _restriction(curve, radius, sectors)
+        on_circle = _restriction(curve, radius, sectors.rotation)
         assert on_circle and all_int(on_circle)
 
 

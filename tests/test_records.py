@@ -60,6 +60,14 @@ CASES = {
         "rep=(1, 2)), plus=DirectionCount(direction=DirectionS1(rep=(1, -2)), count=2), "
         "minus=None, certified=True),), k=KInvariant((2,)), "
         "descriptor=NormalFormDescriptor(((0, 1),)), bounded=False)"),
+    # the invariant and the descriptor keep their short reprs, which appear
+    # inside InfinityReport's
+    "KInvariant": (
+        KInvariant, ("entries",), ((2,),), (1, 1),
+        "KInvariant((2,))"),
+    "NormalFormDescriptor": (
+        NormalFormDescriptor, ("pairs",), (((0, 1),),), ((1, 0),),
+        "NormalFormDescriptor(((0, 1),))"),
     "OracleReport": (
         OracleReport, ("directions", "stable", "radii_used", "samples"),
         ((((1.0, 0.0), 2),), True, (16.0, 32.0), ((16.0, 0.5, 1.0, 2.0),)), (),
