@@ -24,7 +24,7 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .parsing import MAX_TERMS, MAX_TEXT, parse_poly
+from .parsing import MAX_COEFF_BITS, MAX_TERMS, MAX_TEXT, parse_poly
 from .poly import BivarPoly, squarefree_part
 
 _TUPLE_RE = re.compile(r"^[\d\s,]+$")
@@ -118,10 +118,18 @@ def render_report(report: InfinityReport, quiet: bool = False) -> str:
 
 def _cmd_invariant(args) -> int:
     f = _read_curve_arg(args.curve)
-    try:
-        eps = Fraction(args.epsilon) if args.epsilon is not None else None
-    except ZeroDivisionError:
-        raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
+    eps = args.epsilon
+    if eps is not None:
+        # 10^e has more than e bits: refuse a large exponent before Fraction builds it
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", eps, re.IGNORECASE)
+        if exponent and abs(int(exponent[1])) > MAX_COEFF_BITS:
+            raise ValueError(f"epsilon {args.epsilon} has an exponent above {MAX_COEFF_BITS}")
+        try:
+            eps = Fraction(eps)
+        except ZeroDivisionError:
+            raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
+        if max(eps.numerator.bit_length(), eps.denominator.bit_length()) > MAX_COEFF_BITS:
+            raise ValueError(f"epsilon {args.epsilon} has more than {MAX_COEFF_BITS} bits")
     report = k_at_infinity(f, epsilon_override=eps)
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2))

@@ -23,10 +23,6 @@ class DegreeZeroError(BsinfError):
     """The expression simplified to a nonzero constant, which is not a curve."""
 
 
-class DegenerateEliminationError(BsinfError):
-    """Resultant requested with respect to a variable one input does not contain."""
-
-
 class IrrationalDirectionError(BsinfError):
     """The leading form has a real projective root with no rational representative.
 

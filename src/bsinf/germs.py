@@ -22,7 +22,7 @@ critical radii:
   h = x*u_y - y*u_x.  A counted u is not rotation-invariant, and it does not
   divide h: h = lambda*u would give u(R_theta p) = exp(lambda*theta)*u(p)
   along every rotation R_theta, and theta = 2*pi forces lambda = 0, hence
-  h = 0.  So u and h are coprime, their eliminations of y and of x are
+  h = 0.  So u and h are coprime, their resultants eliminating y and x are
   nonzero, and root bounds Bx, By of those put every common zero within
   radius (Bx^2 + By^2)^(1/2).
 - Separators.  On a separator ray s*v, s > 0, u has degree deg u in s, as v
@@ -225,25 +225,14 @@ def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> li
 # certified radius
 # ---------------------------------------------------------------------------
 
-def _elim(a: BivarPoly, b: BivarPoly, var: str) -> list[int]:
-    """A nonzero univariate constraint (in the other variable) satisfied by
-    the projections of all common zeros of a and b, which share no factor."""
-    da, db = a.deg_in(var), b.deg_in(var)
-    if da == 0:
-        return a.subs_value(var, 0)
-    if db == 0:
-        return b.subs_value(var, 0)
-    r = resultant(a, b, var)
-    assert r, "coprime inputs have a nonzero resultant"
-    return r
-
-
 @lru_cache(maxsize=1024)
 def _transversality_square(u: BivarPoly) -> Fraction:
     """Bx^2 + By^2 for a counted irreducible u (see the module docstring),
     cached per process: it depends on u alone."""
     h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
-    return root_bound(_elim(u, h, "y")) ** 2 + root_bound(_elim(u, h, "x")) ** 2
+    ry, rx = resultant(u, h, "y"), resultant(u, h, "x")
+    assert ry and rx, "coprime inputs have a nonzero resultant"
+    return root_bound(ry) ** 2 + root_bound(rx) ** 2
 
 
 def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:

@@ -17,7 +17,7 @@ A univariate polynomial is a plain coefficient list (see the list section
 below), and each primitive on them has one implementation: one sum (with a
 sign), one product, one derivative, one exact quotient, one
 sign-preserving pseudo-remainder in Z[t] and one primitive remainder
-sequence built on it.  The Bareiss resultant, the Sturm chains of
+sequence built on it.  The resultant, the Sturm chains of
 `bsinf.roots`, the circle polynomials of `bsinf.germs` and the factoring of
 `bsinf.factor` all run on them; the Sturm chains and the gcds of the factor
 split are both the remainder sequence.
@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DegenerateEliminationError, DegreeZeroError, ZeroPolynomialError
+from .errors import DegreeZeroError, ZeroPolynomialError
 
 
 def _rational(c) -> int | Fraction:
@@ -482,54 +482,58 @@ def irreducible_factors(f: BivarPoly) -> tuple[BivarPoly, ...]:
 # resultants
 # ---------------------------------------------------------------------------
 
-def _integer_rows(f: BivarPoly, var: str) -> tuple[list[list[int]], int]:
-    """The coefficients of d*f in var, highest power first, as integer
+def _integer_coeffs(f: BivarPoly, var: str) -> tuple[list[list[int]], int]:
+    """The coefficients of d*f in var, lowest power first, as integer
     polynomials in the other variable, and the common denominator d."""
     rows = f.coeffs_in(var)
     d = math.lcm(*(c.denominator for r in rows for c in r))
-    return [[c.numerator * (d // c.denominator) for c in r]
-            for r in reversed(rows)], d
+    return [[c.numerator * (d // c.denominator) for c in r] for r in rows], d
+
+
+def _list_pow(a: Sequence[int], k: int) -> list[int]:
+    """a^k, and 1 for k <= 0."""
+    return functools.reduce(_list_mul, [a] * k, [1])
 
 
 def resultant(f: BivarPoly, g: BivarPoly, var: str) -> list[int | Fraction]:
-    """Sylvester resultant eliminating `var`, as a polynomial in the other
-    variable: the determinant of the Sylvester matrix of f and g (deg g rows
-    of f's coefficients, then deg f rows of g's), by Bareiss's fraction-free
-    elimination over Z[t] (Bareiss, Math. Comp. 22, 1968) after clearing
-    denominators.  Each division in the elimination is exact."""
+    """The resultant of f and g eliminating `var`, as a polynomial in the
+    other variable t: the determinant of their Sylvester matrix, so c^m for
+    an input c free of var and the other of degree m.  It is the last term
+    of the subresultant sequence in Z[t][var] after clearing denominators
+    (Collins, J. ACM 14, 1967; Brown and Traub, J. ACM 18, 1971; Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 3.3.7, without
+    content removal).  Raises ZeroPolynomialError for a zero input."""
     if var not in ("x", "y"):
         raise ValueError("var must be 'x' or 'y'")
-    m, n = f.deg_in(var), g.deg_in(var)
-    if m <= 0 or n <= 0:
-        raise DegenerateEliminationError(f"input of degree {min(m, n)} in {var}")
-    fr, df = _integer_rows(f, var)
-    gr, dg = _integer_rows(g, var)
-    size = m + n
-    mat: list[list[list[int]]] = [[[] for _ in range(size)] for _ in range(size)]
-    for r in range(n):
-        mat[r][r:r + m + 1] = fr
-    for r in range(m):
-        mat[n + r][r:r + n + 1] = gr
-    sign, prev = 1, [1]
-    for k in range(size - 1):
-        pivot = next((r for r in range(k, size) if mat[r][k]), None)
-        if pivot is None:
+    if not f or not g:
+        raise ZeroPolynomialError("resultant of the zero polynomial")
+    (a, da), (b, db) = _integer_coeffs(f, var), _integer_coeffs(g, var)
+    # res(da*f, db*g) = da^deg g * db^deg f * res(f, g)
+    scale = da ** (len(b) - 1) * db ** (len(a) - 1)
+    sign, lc, h = 1, [1], [1]
+    if len(a) < len(b):  # res(g, f) = (-1)^(deg f * deg g) * res(f, g)
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    while len(b) > 1:
+        # (a, b) <- (b, lc(b)^(δ+1) * (a mod b) / (lc * h^δ)), δ = deg a - deg b,
+        # and the sign flips when deg a and deg b are both odd
+        delta, r = len(a) - len(b), list(a)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        for k in range(delta, -1, -1):  # scale by lc(b), then cancel the top
+            top = r.pop()
+            r = [_list_mul(b[-1], c) for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[k + i] = _list_add(r[k + i], _list_mul(top, c), -1)
+        if not _trim(r):
             return []
-        if pivot != k:
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        top = mat[k]
-        for row in mat[k + 1:]:
-            lead = row[k]
-            for c in range(k + 1, size):
-                entry = _list_add(_list_mul(row[c], top[k]), _list_mul(lead, top[c]), -1)
-                row[c] = _int_exact_div(entry, prev)
-            row[k] = []
-        prev = top[k]
-    # res(df*f, dg*g) = df^n * dg^m * res(f, g)
-    det = [sign * c for c in mat[-1][-1]]
-    scale = df ** n * dg ** m
-    return det if scale == 1 else [_rational(Fraction(c, scale)) for c in det]
+        divisor = _list_mul(lc, _list_pow(h, delta))
+        a, b = b, [_int_exact_div(c, divisor) for c in r]
+        # h <- h^(1 - δ) * lc^δ; δ = 0 only at the first step, where h = 1
+        lc = a[-1]
+        h = _int_exact_div(_list_pow(lc, delta), _list_pow(h, delta - 1))
+    # b is free of var: res = h^(1 - deg a) * b^deg a, which is 1 if deg a = 0
+    n = len(a) - 1
+    res = [sign * c for c in _int_exact_div(_list_pow(b[0], n), _list_pow(h, n - 1))]
+    return res if scale == 1 else [_rational(Fraction(c, scale)) for c in res]
 
 
 # ---------------------------------------------------------------------------

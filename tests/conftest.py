@@ -123,6 +123,8 @@ def sylvester_resultant(f: BivarPoly, g: BivarPoly, var: str) -> list:
     gr = g.coeffs_in(var)
     m, n = len(fr) - 1, len(gr) - 1
     size = m + n
+    if not size:
+        return [1]  # the determinant of the empty matrix
     mat = [[[] for _ in range(size)] for _ in range(size)]
     for row in range(n):
         for k, c in enumerate(reversed(fr)):

@@ -242,11 +242,12 @@ def test_file_over_the_text_limit_exits_1(tmp_path, capsys):
 
 
 def test_epsilon_override_marks_uncertified(capsys):
-    code, out, _ = run(capsys, "invariant", "--json", "--epsilon", "1/64", "y^2 - x^3")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["k"] == [1, 1]
-    assert all(not entry["certified"] for entry in payload["points"])
+    for epsilon in ("1/64", "1e-3"):
+        code, out, _ = run(capsys, "invariant", "--json", "--epsilon", epsilon, "y^2 - x^3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == [1, 1]
+        assert all(not entry["certified"] for entry in payload["points"])
 
 
 def test_epsilon_on_separator_exits_1(capsys):
@@ -265,6 +266,18 @@ def test_invalid_epsilon_exits_1(capsys):
             assert code == 1 and out == ""
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), (epsilon, curve)
+
+
+@pytest.mark.parametrize("epsilon", ["1e-100000000", "1e-70000", "1e-65536"])
+def test_huge_epsilon_is_refused_at_once(capsys, epsilon):
+    # 10^100000000 would take minutes to build; the exponent is refused first,
+    # and 10^-65536 passes that check but has more than MAX_COEFF_BITS bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "--epsilon", epsilon, "y - x")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_emit_samples_csv(tmp_path, capsys):

@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -499,7 +500,6 @@ def calls_counted(monkeypatch, name: str, key) -> Counter:
 
 def test_each_factor_is_certified_once_per_process(monkeypatch):
     clear_factor_caches()
-    elims = calls_counted(monkeypatch, "_elim", lambda a, b, var: a)
     resultants = calls_counted(monkeypatch, "resultant", lambda a, b, var: (a, var))
     restrictions = calls_counted(monkeypatch, "_restriction",
                                  lambda g, radius, rotation: (g, radius, rotation))
@@ -515,9 +515,18 @@ def test_each_factor_is_certified_once_per_process(monkeypatch):
             factors.add(u)
             circles.add((u, _certified_bound(u, sectors), sectors.rotation))
     assert len(circles) > len(factors) > 8  # shared factors, on circles that differ
-    assert elims == {u: 2 for u in factors}  # one elimination pair per factor
-    assert set(resultants.values()) == {1} and {u for u, _ in resultants} <= factors
+    # one resultant per variable for each distinct factor
+    assert resultants == {(u, var): 1 for u in factors for var in ("x", "y")}
     assert restrictions == {circle: 1 for circle in circles}
+
+
+def test_transversality_square_of_a_high_degree_curve_is_fast():
+    # h = -x - 128*x^127*y: the resultant eliminating x has degree 128 in x,
+    # which took about 5 s as a Sylvester determinant
+    germs._transversality_square.cache_clear()
+    start = time.perf_counter()
+    germs._transversality_square(parse_poly("x^128 - y"))
+    assert time.perf_counter() - start < 1
 
 
 def test_threads_share_cold_caches():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf import factor, poly
-from bsinf.errors import BsinfError, DegenerateEliminationError
+from bsinf.errors import BsinfError, ZeroPolynomialError
 from bsinf.germs import _restriction, circle_sectors
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
@@ -173,8 +173,30 @@ def test_resultant_vanishes_at_shared_roots():
 
 
 def test_resultant_degenerate_inputs():
-    with pytest.raises(DegenerateEliminationError):
-        resultant(parse_poly("x - 1"), parse_poly("y - x"), "y")
+    # an input c free of the eliminated variable gives c^m, the determinant
+    # of the diagonal Sylvester matrix, m the other input's degree
+    cases = [
+        ("x - 1", "(y - x)^2 + y", "y", [1, -2, 1]),   # (x - 1)^2
+        ("(y - x)^2 + y", "x - 1", "y", [1, -2, 1]),
+        ("x - 1", "y - x", "y", [-1, 1]),
+        ("2*y", "x^3 + y*x - 1", "x", [0, 0, 0, 8]),  # (2y)^3
+        ("x - 1", "x + 2", "y", [1]),                 # the empty determinant
+    ]
+    for ftext, gtext, var, expect in cases:
+        f, g = parse_poly(ftext), parse_poly(gtext)
+        assert resultant(f, g, var) == expect == sylvester_resultant(f, g, var)
+    for f, g in [(BivarPoly.zero(), parse_poly("y - x")), (parse_poly("y - x"), BivarPoly.zero())]:
+        with pytest.raises(ZeroPolynomialError):
+            resultant(f, g, "y")
+
+
+def test_resultant_with_tangential_derivative_matches_sylvester():
+    # the transversality clause of x^24 - y: h = -x - 24*x^23*y has degree 23
+    # in x, and u mod h = -x^2/(24*y) - y degree 2, a drop by 21 in one step
+    u = parse_poly("x^24 - y")
+    h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
+    for var in ("x", "y"):
+        assert resultant(u, h, var) == sylvester_resultant(u, h, var)
 
 
 def test_univariate_resultant_signs():
@@ -193,13 +215,13 @@ def to_sympy(f: BivarPoly) -> sympy.Poly:
 
 @st.composite
 def eliminable_pairs(draw):
-    """Two polynomials of degree 1..3 in y and 0..3 in x, with small rational
-    coefficients, and the variable to eliminate."""
+    """Two nonzero polynomials of degree 0..3 in y and in x, with small
+    rational coefficients, and the variable to eliminate."""
     def one():
         coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
         terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                      coeff, max_size=6))
-        terms[(draw(st.integers(0, 3)), draw(st.integers(1, 3)))] = draw(
+        terms[(draw(st.integers(0, 3)), draw(st.integers(0, 3)))] = draw(
             coeff.filter(bool))
         return BivarPoly(terms)
     f, g = one(), one()
@@ -223,6 +245,25 @@ def test_resultant_matches_sympy_and_sylvester(pair):
     # determinant is 1
     m, n = f.deg_in(var), g.deg_in(var)
     assert got == expected or (m < n and m * n % 2 and got == [-c for c in expected])
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two polynomials of 1-3 integer terms, of degree at most 12 in the
+    eliminated variable y and at most 1 in x: their remainder sequences have
+    steps where the degree drops by more than one."""
+    def one():
+        exps = st.tuples(st.integers(0, 1), st.integers(0, 12))
+        return BivarPoly(draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
+                                              min_size=1, max_size=3)))
+    return one(), one()
+
+
+@given(sparse_pairs())
+@settings(max_examples=50, deadline=None)
+def test_sparse_resultant_matches_sylvester(pair):
+    f, g = pair
+    assert resultant(f, g, "y") == sylvester_resultant(f, g, "y")
 
 
 @st.composite
