@@ -1,20 +1,94 @@
 """Certified counting of the real half-branches of a plane curve at each of
-its directions at infinity, on large circles about the origin.
+its directions at infinity: from the Newton polygon of a chart at each point
+at infinity, and on large circles about the origin where that polygon is
+degenerate.
 
-A small circle around a point at infinity is a large circle in the affine
-plane: the conic structure at infinity.  The circle of radius R is
-parametrized as p(t) = R*M(1 - t^2, 2t)/(1 + t^2), t in R or t = oo, with M a
-rational rotation chosen so that p(oo) = -R*M(1, 0) is no direction of the
-curve.  The curve's directions +-(alpha, beta), one pair per point at
-infinity [alpha : beta], are then finite real roots in t.  Rational separators between those
-roots, and t = oo, cut the circle into sectors, each holding one direction;
-the separators give rays from the origin.
+Per factor.  Distinct irreducible factors meet in finitely many points, so
+the half-branches of the curve are those of its factors, and the counts add.
+Only an irreducible factor u whose leading form vanishes at a point at
+infinity is counted.  Any other factor has a definite leading form, so its
+real zero set is bounded and it has no branch at infinity.  That includes
+every rotation-invariant factor U(x^2 + y^2), whose leading form is a power
+of x^2 + y^2.
 
-Certificate.  Only an irreducible factor u whose leading form vanishes at a
-point at infinity is counted.  Any other factor has a definite leading form,
-so its real zero set is bounded and it has no branch at infinity.  That
-includes every rotation-invariant factor U(x^2 + y^2), whose leading form is
-a power of x^2 + y^2.  For a counted u the radius R lies beyond two kinds of
+The chart at a point.  Let u have degree d, integer coefficients and leading
+form u_d, and let p = [alpha : beta] be a point at infinity, given by its
+integer representative.  The chart
+
+    F(s, w) = s^d * u((alpha - w*beta)/s, (beta + w*alpha)/s)
+
+has integer coefficients; F_ij is the coefficient of s^i*w^j.  The map
+(s, w) -> ((alpha, beta) + w*(-beta, alpha))/s takes {s > 0} onto the open
+half-plane of the points (x, y) with alpha*x + beta*y > 0, and {s < 0} onto
+the opposite one, and w is the slope of (x, y) against (alpha, beta) there.
+So an arc of {u = 0} that goes to infinity in the direction +(alpha, beta)
+is a real half-branch of {F = 0} at the origin in {s > 0}, one in the
+direction -(alpha, beta) is one in {s < 0}, and conversely.  The rule counts
+those half-branches.  F(0, w) = u_d(alpha - w*beta, beta + w*alpha), so
+m = ord_w F(0, w) is the multiplicity of p as a root of u_d.
+
+- m = 0: F(0, 0) != 0, and u has no branch at p.
+- m = 1, the smooth case: dF/dw(0, 0) != 0, so by the implicit function
+  theorem {F = 0} is near the origin the graph of an analytic w(s).  Its one
+  real branch crosses s = 0, so u has one half-branch on each side: (1, 1).
+  By Euler's relation alpha*u_d,x + beta*u_d,y = d*u_d(alpha, beta) = 0, and
+  so m = 1 exactly when the gradient of u_d at (alpha, beta) is nonzero,
+  which is what the code tests.
+- m >= 2: the Newton polygon.  w does not divide F: else u would vanish on
+  the line through the origin in the direction (alpha, beta), and being
+  irreducible would be that line, with m = 1.  So n = ord_s F(s, 0) is
+  finite.  The compact edges of the lower Newton polygon of F, the boundary
+  of the convex hull of {(i, j) : F_ij != 0} + R_>=0^2, run from (0, m) to
+  (n, 0).  An edge from (i1, j1) to (i2, j2), i1 < i2, has lattice length
+  g = gcd(i2 - i1, j1 - j2), coprime direction (P, Q) = (i2 - i1, j1 - j2)/g
+  and edge polynomial phi(z) = sum over k = 0..g of F_(i2 - P*k, j2 + Q*k) z^k,
+  of degree g with phi(0) != 0.
+
+  Newton-Puiseux (Walker, Algebraic Curves, 1950, ch. IV; Brieskorn and
+  Knoerrer, Plane Algebraic Curves, 1986, 8.3; Casas-Alvero, Singularities of
+  Plane Curves, 2000, ch. 1): the roots in w of F(s, w) = 0 near s = 0 are m
+  Puiseux series, and those that belong to the edge (P, Q) are
+  w = c*s^(P/Q) + (higher powers of s), with c != 0 and phi(c^Q) = 0.  Indeed
+  w = c*s^(P/Q) gives every monomial on the edge the order N/Q, N = Q*i + P*j
+  along the edge, and their sum is c^j2 * phi(c^Q) * s^(N/Q); every other
+  monomial has a higher order.  Let zeta be a simple root of phi and
+  c^Q = zeta.  The substitution s = t^Q, w = t^P*(c + v) turns F into
+  t^N * G(t, v) with G(0, v) = (c + v)^j2 * phi((c + v)^Q), whose derivative
+  in v at 0 is c^j2 * phi'(zeta) * Q*c^(Q - 1) != 0.  So v = v(t) is
+  analytic with v(0) = 0, and real for real t when c is real, as F is real.
+  The Q choices of c lie on one branch, as t -> exp(2*pi*i/Q)*t moves c to
+  c*exp(2*pi*i*P/Q) and P, Q are coprime.  Summed over the edges, the simple
+  roots account for sum Q*g = sum (j1 - j2) = m series, which is all of
+  them.  So when every phi is squarefree (the point is Newton-nondegenerate)
+  the branches of F at the origin are one per root zeta of each phi, and
+  distinct (edge, zeta, c) have distinct leading terms.  On a real
+  half-branch w/|s|^(P/Q) has a real limit, so only real leading terms
+  count:
+
+  - Q odd.  t -> t^Q is a bijection of R, so a real zeta, with c its real
+    Q-th root, gives a real branch whose t > 0 and t < 0 halves lie in
+    s > 0 and s < 0; a nonreal zeta has no real c.  Both sides add the real
+    roots of phi.
+  - Q even, so P is odd.  On s > 0, t = +-s^(1/Q), and a real c with
+    c^Q = zeta exists when zeta > 0: c = +-zeta^(1/Q), the two halves t > 0
+    and t < 0 of one real branch.  On s < 0, write s = -r with r > 0: then
+    w = c*(-1)^(P/Q)*r^(P/Q) + ..., real when (c*(-1)^(P/Q))^Q = (-1)^P*zeta
+    = -zeta is positive.  So the plus side adds twice the positive roots of
+    phi, and the minus side twice the negative roots.
+
+  If some phi has a repeated root, later Puiseux terms decide the branches,
+  and u is counted on the circle instead, at all its points.
+
+The circle.  A small circle around a point at infinity is a large circle in
+the affine plane: the conic structure at infinity.  The circle of radius R
+is parametrized as p(t) = R*M(1 - t^2, 2t)/(1 + t^2), t in R or t = oo, with
+M a rational rotation chosen so that p(oo) = -R*M(1, 0) is no direction of
+the curve.  The curve's directions +-(alpha, beta), one pair per point at
+infinity [alpha : beta], are then finite real roots in t.  Rational
+separators between those roots, and t = oo, cut the circle into sectors,
+each holding one direction; the separators give rays from the origin.
+
+Certificate.  For a counted u the radius R lies beyond two kinds of
 critical radii:
 
 - Transversality.  A circle is tangent to {u = 0}, or meets a singular point
@@ -35,25 +109,27 @@ meeting every larger circle once and never leaving its sector.  Each arc
 goes to infinity, so its limit direction is a direction of the curve in the
 closed sector, which is the sector's own.  Hence the number of real roots of
 (1 + t^2)^deg u * u(p(t)) in a sector, a Sturm count, is the number of
-half-branches of u at the sector's direction.  Distinct factors meet in
-finitely many points, so the half-branches of the curve are those of its
-factors, and the counts add.  Only upper bounds enter: no pairwise
-eliminations, clearances or smallest root magnitudes.
+half-branches of u at the sector's direction.  Only upper bounds enter: no
+pairwise eliminations, clearances or smallest root magnitudes.
 
 The only uncertified counts are those of the whole curve at a caller-chosen
-radius 1/epsilon.
+radius 1/epsilon, which always runs on the circle.
 
 Per factor and per curve.  The normal forms and realizations are built from
 one family of lines and parabolas, so curves counted in one process share
-most of their factors.  Two parts of the certificate depend on the factor
-alone and are cached per process, in a `functools.lru_cache` of 1024
-entries each: the transversality clause Bx^2 + By^2, keyed on u, and the
-Sturm chain of u on the circle, `_circle_chain` itself keyed on its
-arguments u, R and the rotation (it reads no separator).  Each curve
-computes its own separator-ray clause, so its own R, and the sign
-variations at its own separators.
-Exceptions are not cached.  The count of the whole curve at radius
-1/epsilon is never cached, so a large input does not fill the cache.
+most of their factors.  The rule's counts depend on u and the point alone
+and are cached per process, keyed on u and the point's representative, in a
+`functools.lru_cache` of 1024 entries.  A factor falls back to the circle
+only where some edge is degenerate; two parts of its certificate depend on
+the factor alone and have a cache of 1024 entries each: the transversality
+clause Bx^2 + By^2, keyed on u, and the Sturm chain of u on the circle,
+`_circle_chain` itself keyed on its arguments u, R and the rotation (it
+reads no separator).  The sectors are built per curve, and only when some
+factor falls back or epsilon is given; each fallback factor then computes
+its own separator-ray clause, so its own R, and the sign variations at the
+curve's separators.  Exceptions are not cached.  The count of the whole
+curve at radius 1/epsilon is never cached, so a large input does not fill
+the cache.
 """
 
 from __future__ import annotations
@@ -271,6 +347,100 @@ def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
     return radius
 
 
+# ---------------------------------------------------------------------------
+# the Newton polygon of the chart at a point
+# ---------------------------------------------------------------------------
+
+def _chart_rows(u: BivarPoly, alpha: int, beta: int) -> list[list]:
+    """The rows i = 0..n of the chart F of u at [alpha : beta] (see the
+    module docstring) for u with m >= 2: row i lists the coefficients of s^i
+    as a polynomial in w, u_(d - i)(alpha - w*beta, beta + w*alpha).  Row 0
+    is in full.  The others are cut before w^m, m the order of row 0 at
+    w = 0: a point (i, j) with i >= 1 and j >= m lies above the edges from
+    (0, m) to (n, 0).  n is the first row with a nonzero constant term."""
+    d = u.degree
+    parts: dict[int, dict[int, int]] = {}
+    for (i, j), cf in u.items():
+        parts.setdefault(i + j, {})[j] = cf
+    x, y = _trim([alpha, -beta]), _trim([beta, alpha])
+    x_pows = [[1]]
+    for _ in range(d):
+        x_pows.append(_list_mul(x_pows[-1], x))
+    rows: list[list] = []
+    cut = None
+    for k in range(d, -1, -1):
+        row = parts.get(k, {})
+        part: list = []  # Horner in y, as in _restriction
+        if row:
+            for j in range(k, -1, -1):
+                part = _trim(_list_mul(part, y)[:cut])
+                if j in row:
+                    part = _list_add(part, [row[j] * c for c in x_pows[k - j][:cut]])
+        rows.append(part)
+        if cut is None:
+            cut = next(j for j, c in enumerate(part) if c)
+        elif part and part[0]:
+            return rows
+    raise AssertionError("w divides the chart of a curve that is not a line")
+
+
+def _newton_edges(rows: list[list]) -> list[tuple[int, int, list]]:
+    """(P, Q, phi) for each compact edge of the lower Newton polygon of the
+    chart with the given rows, from (0, m) to (n, 0) (see the module
+    docstring)."""
+    # the lowest point of each column, then the lower convex hull of those
+    # (Andrew's monotone chain); collinear points are dropped, so each edge
+    # runs between its two end vertices
+    hull: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        p = (i, next(j for j, c in enumerate(row) if c))
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  <= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    edges = []
+    for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
+        g = math.gcd(i2 - i1, j1 - j2)
+        p, q = (i2 - i1) // g, (j1 - j2) // g
+        phi = []
+        for k in range(g + 1):
+            row, j = rows[i2 - p * k], j2 + q * k
+            phi.append(row[j] if j < len(row) else 0)
+        edges.append((p, q, phi))
+    return edges
+
+
+@lru_cache(maxsize=1024)
+def _newton_counts(u: BivarPoly, rep: tuple[int, int]) -> tuple[int, int] | None:
+    """(plus, minus) half-branches of the irreducible u at the point at
+    infinity with the representative rep, by the rule of the module
+    docstring; None when an edge polynomial has a repeated root.  Cached per
+    process: it depends on u and the point alone."""
+    alpha, beta = rep
+    lf = leading_form(u)
+    if lf.evaluate(alpha, beta) != 0:
+        return 0, 0
+    if lf.partial("x").evaluate(alpha, beta) or lf.partial("y").evaluate(alpha, beta):
+        return 1, 1
+    plus = minus = 0
+    for p, q, phi in _newton_edges(_chart_rows(u, alpha, beta)):
+        chain = sturm_chain(phi)
+        if len(chain[0]) < len(phi):  # the chain is that of phi's squarefree part
+            return None
+        below, at_zero, above = (sign_variations(chain, t)
+                                 for t in (-math.inf, Fraction(0), math.inf))
+        negative, positive = below - at_zero, at_zero - above
+        if q % 2:
+            plus += negative + positive
+            minus += negative + positive
+        else:
+            plus += 2 * positive
+            minus += 2 * negative
+    return plus, minus
+
+
 def counted_factors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> list[BivarPoly]:
     """The irreducible factors of f whose leading form vanishes at one of its
     points at infinity; the others have no branch at infinity."""
@@ -287,7 +457,9 @@ def count_half_branches(u: BivarPoly, sectors: Sectors) -> list[int]:
 def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
                        epsilon: Fraction | None = None) -> list[tuple[int, int]]:
     """(plus, minus) half-branch counts of the curve f at each of its points
-    at infinity, certified; repeated factors of f count once.
+    at infinity, certified; repeated factors of f count once.  Each counted
+    factor is counted by the Newton polygon rule, or on the circle when one
+    of its points is degenerate.
 
     With epsilon, the whole curve is counted on the circle of radius
     1/epsilon instead, and the counts are not certified.
@@ -298,13 +470,25 @@ def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
             raise ValueError("epsilon must be positive")
     if not points:
         return []
-    sectors = circle_sectors(f, points)
-    if epsilon is None:
-        per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
-                                                for u in counted_factors(f, points)))]
-    else:
-        per_sector = _sector_counts(_circle_chain(f, 1 / epsilon, sectors.rotation), sectors)
     counts = {p: [0, 0] for p in points}
+    if epsilon is None:
+        on_circle = []
+        for u in counted_factors(f, points):
+            by_rule = [_newton_counts(u, p.rep) for p in points]
+            if None in by_rule:
+                on_circle.append(u)
+                continue
+            for p, (plus, minus) in zip(points, by_rule):
+                counts[p][0] += plus
+                counts[p][1] += minus
+        if not on_circle:
+            return [tuple(counts[p]) for p in points]
+        sectors = circle_sectors(f, points)
+        per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
+                                                for u in on_circle))]
+    else:
+        sectors = circle_sectors(f, points)
+        per_sector = _sector_counts(_circle_chain(f, 1 / epsilon, sectors.rotation), sectors)
     for (point, side), n in zip(sectors.labels, per_sector):
         counts[point][0 if side > 0 else 1] += n
     return [tuple(counts[p]) for p in points]

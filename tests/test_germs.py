@@ -30,7 +30,7 @@ from bsinf.invariant import (
     realize_tuple,
 )
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, _list_mul, squarefree_part
+from bsinf.poly import BivarPoly, _list_mul, irreducible_factors, squarefree_part
 from bsinf.projective import (
     ProjPointAtInfinity,
     direction_pair,
@@ -42,6 +42,7 @@ from bsinf.roots import isolate_real_roots
 from conftest import (
     affine_image,
     evaluate,
+    even_sum_tuples,
     germ_curve,
     random_unimodular,
     trace_direction_counts,
@@ -401,10 +402,167 @@ def test_angle_order_labels_match_cross_matching_on_corpus():
 
 
 # ---------------------------------------------------------------------------
+# the Newton polygon rule, and the circle as its fallback
+# ---------------------------------------------------------------------------
+
+def circle_counts_by_point(u: BivarPoly, points, sectors) -> dict:
+    """(plus, minus) of the counted factor u at each point, from the
+    certified circle."""
+    out = {p: [0, 0] for p in points}
+    for (point, side), n in zip(sectors.labels, count_half_branches(u, sectors)):
+        out[point][0 if side > 0 else 1] += n
+    return {p: tuple(c) for p, c in out.items()}
+
+
+# (text, point, the edges (P, Q, phi) of its chart there, (plus, minus)),
+# worked out by hand
+RULE_TABLE = [
+    # m = 1: smooth and transverse to the line at infinity, no chart
+    ("y - x - 1", (1, 1), None, (1, 1)),
+    # x = (1 - w)/s, y = (1 + w)/s: F = 4w^2 - 2s.  phi = -2 + 4z has the
+    # positive root 1/2 and Q = 2: both half-branches on the plus side
+    ("(y - x)^2 - (y + x)", (1, 1), [(1, 2, [-2, 4])], (2, 0)),
+    # x = -w/s, y = 1/s: F = w^5 + s^3.  phi = 1 + z has the real root -1
+    # and Q = 5 is odd: one half-branch on each side
+    ("y^2 - x^5", (0, 1), [(3, 5, [1, 1])], (1, 1)),
+    # F = w^128 - s^127.  phi = -1 + z has the positive root 1 and Q = 128
+    ("x^128 - y", (0, 1), [(127, 128, [-1, 1])], (2, 0)),
+]
+
+
+@pytest.mark.parametrize("text, rep, edges, want", RULE_TABLE)
+def test_rule_on_hand_checked_charts(text, rep, edges, want, monkeypatch):
+    f = parse_poly(text)
+    if edges is not None:
+        assert germs._newton_edges(germs._chart_rows(f, *rep)) == edges
+    (u,) = irreducible_factors(f)
+    assert germs._newton_counts(u, rep) == want
+    circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+    points = points_at_infinity(f)
+    assert [p.rep for p in points] == [rep]
+    assert half_branch_counts(f, points) == [want]
+    assert not circles
+
+
+@st.composite
+def curves_singular_at_infinity(draw) -> BivarPoly:
+    """A product of powers of rational linear forms, of degree at most 5,
+    plus random terms of lower degree, or a unimodular affine image of one:
+    points at infinity of every multiplicity up to 5."""
+    powers = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                     st.integers(1, 3)).filter(lambda t: t[:2] != (0, 0)),
+                           min_size=1, max_size=2).filter(lambda ps: sum(e for *_, e in ps) <= 5))
+    f = BivarPoly.constant(1)
+    for a, b, e in powers:
+        f = f * BivarPoly({(1, 0): b, (0, 1): -a}) ** e
+    d = f.degree
+    lower = draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+                                 .filter(lambda ij: sum(ij) < d),
+                                 st.integers(-4, 4), max_size=6))
+    f = f + BivarPoly(lower)
+    m = draw(st.sampled_from([((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)),
+                              ((0, 1), (1, 0)), ((1, -2), (1, -1))]))
+    shift = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    return affine_image(f, m, shift)
+
+
+@given(curves_singular_at_infinity())
+@settings(max_examples=80, deadline=None)
+def test_rule_agrees_with_the_circle(f):
+    _, points, sectors, counted = circle_setup(f)
+    for u in counted:
+        on_circle = circle_counts_by_point(u, points, sectors)
+        for p in points:
+            by_rule = germs._newton_counts(u, p.rep)
+            if by_rule is not None:  # degenerate points are the circle's alone
+                assert by_rule == on_circle[p], (str(u), str(p))
+
+
+# (text, k): the branches y = x^2 +- x^(1/2) and y = x^2 +- x^(3/2), x -> +oo,
+# both go up, so k = (2); y^2 = x^3 +- x^(5/2) has two branches going up and
+# two going down, so k = (2, 2).  At [0 : 1] each chart has one edge, whose
+# phi is a square: (1 - z)^2, (1 - z)^2 and (1 + z)^2.
+DEGENERATE = [
+    ("(y - x^2)^2 - x", (2,), [(1, 2, [1, -2, 1])]),
+    ("(y - x^2)^2 - x^3", (2,), [(1, 2, [1, -2, 1])]),
+    ("(y^2 - x^3)^2 - x^5", (2, 2), [(1, 3, [1, 2, 1])]),
+]
+
+
+def degenerate_curves() -> list[tuple[BivarPoly, tuple[int, ...]]]:
+    """Each degenerate curve and one unimodular image of it, with its k."""
+    out = []
+    for text, k, _ in DEGENERATE:
+        f = parse_poly(text)
+        out += [(f, k), (affine_image(f, ((2, 1), (1, 1)), (1, -1)), k)]
+    return out
+
+
+def fallback_curves() -> list[tuple[BivarPoly, tuple[int, ...]]]:
+    """Each degenerate curve, alone and times one or two lines of other
+    directions, with its k: a factor on the circle in curves whose
+    separators differ."""
+    lines = [parse_poly(text) for text in ["y - x - 1", "y + x + 3", "y - 3*x"]]
+    out = []
+    for f, k in degenerate_curves():
+        out += [(f, k), (f * lines[0], tuple(sorted(k + (1, 1)))),
+                (f * lines[1] * lines[2], tuple(sorted(k + (1, 1, 1, 1))))]
+    return out
+
+
+@pytest.mark.parametrize("text, k, edges", DEGENERATE)
+def test_degenerate_edges_are_found(text, k, edges):
+    f = parse_poly(text)
+    assert germs._newton_edges(germs._chart_rows(f, 0, 1)) == edges
+    (u,) = irreducible_factors(f)
+    assert germs._newton_counts(u, (0, 1)) is None
+
+
+def test_degenerate_points_take_the_circle(monkeypatch):
+    for f, k in degenerate_curves():
+        circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+        assert k_at_infinity(f).k.entries == k, str(f)
+        assert sum(circles.values()) >= 1, str(f)
+        monkeypatch.undo()
+
+
+def test_criterion_1_curves_never_reach_the_circle(monkeypatch):
+    sectors = calls_counted(monkeypatch, "circle_sectors", lambda f, points: f)
+    circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+    for t in even_sum_tuples(6, 4):
+        eta = KInvariant(t)
+        assert k_at_infinity(emit_normal_form(canonical_descriptor(eta))).k == eta
+        assert k_at_infinity(realize_tuple(eta)).k == eta
+    assert not sectors and not circles
+
+
+def generic_curve(half: int) -> BivarPoly:
+    """The product of y - s*x over s = +-1..+-half, plus x^3*y^2 - 7*x*y + 5:
+    2*half simple points at infinity, so k = (1, ..., 1) with 4*half
+    entries by the smooth case, whatever the lower terms."""
+    slopes = [*range(half, 0, -1), *range(-1, -half - 1, -1)]
+    return parse_poly("*".join(f"(y - {s}*x)" for s in slopes) + " + x^3*y^2 - 7*x*y + 5")
+
+
+@pytest.mark.parametrize("f, k", [(generic_curve(7), (1,) * 28),
+                                  (parse_poly("x^128 - y"), (2,))],
+                         ids=["generic degree 14", "x^128 - y"])
+def test_curves_that_took_seconds_on_the_circle_are_fast(f, k):
+    # 2.3 s and 2.2 s on the circle: two resultants, R and a Sturm chain of
+    # degree 2d; x^128 - y still spends most of its time in factoring
+    clear_factor_caches()
+    poly.irreducible_factors.cache_clear()
+    start = time.perf_counter()
+    assert k_at_infinity(f).k.entries == k
+    assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
 # per-process caches of the per-factor certificate
 # ---------------------------------------------------------------------------
 
 def clear_factor_caches() -> None:
+    germs._newton_counts.cache_clear()
     germs._transversality_square.cache_clear()
     germs._factor_chain.cache_clear()
 
@@ -499,23 +657,26 @@ def calls_counted(monkeypatch, name: str, key) -> Counter:
 
 
 def test_each_factor_is_certified_once_per_process(monkeypatch):
+    # only the factors with a degenerate point reach the circle; each of them
+    # recurs in three curves, on circles whose radii differ
     clear_factor_caches()
     resultants = calls_counted(monkeypatch, "resultant", lambda a, b, var: (a, var))
     restrictions = calls_counted(monkeypatch, "_restriction",
                                  lambda g, radius, rotation: (g, radius, rotation))
-    curves = criterion_1_curves()
-    for f, t in zip(curves, [t for t in CRITERION_1 for _ in (0, 1)]):
+    curves = fallback_curves()
+    for f, t in curves:
         assert k_at_infinity(f).k.entries == t
     monkeypatch.undo()
     factors, circles = set(), set()
-    for f in curves:
+    for f, _ in curves:
         points = points_at_infinity(f)
         sectors = circle_sectors(f, points)
         for u in counted_factors(f, points):
-            factors.add(u)
-            circles.add((u, _certified_bound(u, sectors), sectors.rotation))
-    assert len(circles) > len(factors) > 8  # shared factors, on circles that differ
-    # one resultant per variable for each distinct factor
+            if None in [germs._newton_counts(u, p.rep) for p in points]:
+                factors.add(u)
+                circles.add((u, _certified_bound(u, sectors), sectors.rotation))
+    assert len(circles) > len(factors) == 2 * len(DEGENERATE)
+    # one resultant per variable for each distinct factor on the circle
     assert resultants == {(u, var): 1 for u in factors for var in ("x", "y")}
     assert restrictions == {circle: 1 for circle in circles}
 
@@ -530,7 +691,9 @@ def test_transversality_square_of_a_high_degree_curve_is_fast():
 
 
 def test_threads_share_cold_caches():
-    curves = criterion_1_curves()
+    # the criterion-1 curves meet the rule's cache, the fallback curves the
+    # circle's
+    curves = criterion_1_curves() + [f for f, _ in fallback_curves()]
     clear_factor_caches()
     sequential = [k_at_infinity(f).records for f in curves]
     clear_factor_caches()
