@@ -17,7 +17,6 @@ from .errors import (
     BsinfError,
     DegreeZeroError,
     IrrationalDirectionError,
-    NonTransverseCircleError,
     NotRealizableError,
     ParseError,
     ZeroPolynomialError,
@@ -63,7 +62,6 @@ __all__ = [
     "InfinityReport",
     "IrrationalDirectionError",
     "KInvariant",
-    "NonTransverseCircleError",
     "NormalFormDescriptor",
     "NotRealizableError",
     "OracleReport",

@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import BsinfError, NotRealizableError, ParseError
 from .invariant import (
@@ -24,7 +23,7 @@ from .invariant import (
     k_at_infinity,
     realize_tuple,
 )
-from .parsing import MAX_COEFF_BITS, MAX_TERMS, MAX_TEXT, parse_poly
+from .parsing import MAX_TERMS, MAX_TEXT, parse_poly
 from .poly import BivarPoly, squarefree_part
 
 _TUPLE_RE = re.compile(r"^[\d\s,]+$")
@@ -109,28 +108,14 @@ def render_report(report: InfinityReport, quiet: bool = False) -> str:
     for rec in report.records:
         sides = [f"{side.direction} -> {side.count}"
                  for side in (rec.plus, rec.minus) if side is not None]
-        tag = "" if rec.certified else "  [uncertified]"
-        lines.append(f"  {rec.point}: " + ", ".join(sides) + tag)
+        lines.append(f"  {rec.point}: " + ", ".join(sides))
     lines.append(f"descriptor: {report.descriptor}")
     lines.append(f"normal form: {emit_normal_form(report.descriptor)}")
     return "\n".join(lines)
 
 
 def _cmd_invariant(args) -> int:
-    f = _read_curve_arg(args.curve)
-    eps = args.epsilon
-    if eps is not None:
-        # 10^e has more than e bits: refuse a large exponent before Fraction builds it
-        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", eps, re.IGNORECASE)
-        if exponent and abs(int(exponent[1])) > MAX_COEFF_BITS:
-            raise ValueError(f"epsilon {args.epsilon} has an exponent above {MAX_COEFF_BITS}")
-        try:
-            eps = Fraction(eps)
-        except ZeroDivisionError:
-            raise ValueError(f"epsilon {args.epsilon} has a zero denominator") from None
-        if max(eps.numerator.bit_length(), eps.denominator.bit_length()) > MAX_COEFF_BITS:
-            raise ValueError(f"epsilon {args.epsilon} has more than {MAX_COEFF_BITS} bits")
-    report = k_at_infinity(f, epsilon_override=eps)
+    report = k_at_infinity(_read_curve_arg(args.curve))
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2))
     else:
@@ -254,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compute the invariant of a curve at infinity")
     p.add_argument("curve", help="polynomial in x, y (or @file)")
     p.add_argument("--quiet", action="store_true", help="result line only")
-    p.add_argument("--epsilon", metavar="FRAC",
-                   help="override the certified radius (counts become uncertified)")
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("equiv", parents=[common],

@@ -31,9 +31,5 @@ class IrrationalDirectionError(BsinfError):
     """
 
 
-class NonTransverseCircleError(BsinfError):
-    """The sample circle is a component of the curve; the caller must choose another radius."""
-
-
 class NotRealizableError(BsinfError):
     """Tuple with odd entry sum: not the invariant of any real algebraic curve."""

@@ -112,24 +112,15 @@ closed sector, which is the sector's own.  Hence the number of real roots of
 half-branches of u at the sector's direction.  Only upper bounds enter: no
 pairwise eliminations, clearances or smallest root magnitudes.
 
-The only uncertified counts are those of the whole curve at a caller-chosen
-radius 1/epsilon, which always runs on the circle.
-
 Per factor and per curve.  The normal forms and realizations are built from
 one family of lines and parabolas, so curves counted in one process share
 most of their factors.  The rule's counts depend on u and the point alone
 and are cached per process, keyed on u and the point's representative, in a
-`functools.lru_cache` of 1024 entries.  A factor falls back to the circle
-only where some edge is degenerate; two parts of its certificate depend on
-the factor alone and have a cache of 1024 entries each: the transversality
-clause Bx^2 + By^2, keyed on u, and the Sturm chain of u on the circle,
-`_circle_chain` itself keyed on its arguments u, R and the rotation (it
-reads no separator).  The sectors are built per curve, and only when some
-factor falls back or epsilon is given; each fallback factor then computes
-its own separator-ray clause, so its own R, and the sign variations at the
-curve's separators.  Exceptions are not cached.  The count of the whole
-curve at radius 1/epsilon is never cached, so a large input does not fill
-the cache.
+`functools.lru_cache` of 1024 entries.  Nothing else is cached.  A factor
+falls back to the circle only where some edge is degenerate, and its
+certificate is then computed per curve: the sectors, its radius R, whose
+separator-ray clause depends on the curve's separators, and its Sturm count
+on the circle of radius R.
 """
 
 from __future__ import annotations
@@ -139,7 +130,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
 
-from .errors import NonTransverseCircleError
 from .poly import (
     BivarPoly,
     Record,
@@ -251,60 +241,31 @@ def _restriction(g: BivarPoly, radius: int | Fraction,
     return acc
 
 
-_ON_SEPARATOR = ("the circle meets the curve on a separator ray; "
-                 "counts by sector are undefined at this radius")
-
-
-def _circle_chain(g: BivarPoly, radius: int | Fraction,
-                  rotation: tuple[Fraction, Fraction]) -> tuple[tuple[int, ...], ...]:
-    """The Sturm chain of `_restriction(g, radius, rotation)`.
-
-    Raises NonTransverseCircleError when the circle is a component of
-    {g = 0}, and ValueError when a curve point lies on the ray at t = oo.
-    """
-    p = _restriction(g, radius, rotation)
-    if not p:
-        raise NonTransverseCircleError("the sample circle lies inside the curve")
-    # the t^(2 deg g) coefficient of p is g(p(oo))
-    if len(p) - 1 < 2 * g.degree:
-        raise ValueError(_ON_SEPARATOR)
-    return tuple(map(tuple, sturm_chain(p)))
-
-
-# the chain of a counted factor, cached per process on (u, R, rotation):
-# curves that share the factor, its radius and the rotation share the chain,
-# whatever their separators
-_factor_chain = lru_cache(maxsize=1024)(_circle_chain)
-
-
-def _sector_counts(chain: tuple[tuple[int, ...], ...], sectors: Sectors) -> list[int]:
-    """Roots of chain[0] per sector, from the sign variations of its Sturm
-    chain at the separators; ValueError when a separator is a root."""
-    # chain[0], p made primitive, has the roots of p
-    if any(_sign_at(chain[0], t) == 0 for t in sectors.separators):
-        raise ValueError(_ON_SEPARATOR)
-    variations = [sign_variations(chain, t) for t in (-math.inf, *sectors.separators, math.inf)]
-    return [a - b for a, b in zip(variations, variations[1:])]
-
-
 def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
     """Points of {g = 0} on the circle of the given radius, per sector, from
-    the chain that `_factor_chain` caches.
-
-    Raises NonTransverseCircleError when the circle is a component of
-    {g = 0}, and ValueError when a curve point lies on a separator ray.
-    """
-    return _sector_counts(_factor_chain(g, radius, sectors.rotation), sectors)
+    the sign variations of the Sturm chain of `_restriction` at the
+    separators.  No curve point may lie on a separator ray at that radius,
+    which holds for a counted factor at its certified radius."""
+    p = _restriction(g, radius, sectors.rotation)
+    # the t^(2 deg g) coefficient of p is g(p(oo)); it is nonzero, and p is
+    # not zero, as the separator-ray clause of R puts every point of g on the
+    # ray at t = oo strictly inside R
+    assert len(p) - 1 == 2 * g.degree, "a curve point on the ray at t = oo"
+    chain = sturm_chain(p)
+    # chain[0], p made primitive, has the roots of p; the same clause keeps
+    # them off the finite separators
+    assert all(_sign_at(chain[0], t) for t in sectors.separators), \
+        "a curve point on a separator ray"
+    variations = [sign_variations(chain, t) for t in (-math.inf, *sectors.separators, math.inf)]
+    return [a - b for a, b in zip(variations, variations[1:])]
 
 
 # ---------------------------------------------------------------------------
 # certified radius
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
 def _transversality_square(u: BivarPoly) -> Fraction:
-    """Bx^2 + By^2 for a counted irreducible u (see the module docstring),
-    cached per process: it depends on u alone."""
+    """Bx^2 + By^2 for a counted irreducible u (see the module docstring)."""
     h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
     ry, rx = resultant(u, h, "y"), resultant(u, h, "x")
     assert ry and rx, "coprime inputs have a nonzero resultant"
@@ -454,41 +415,27 @@ def count_half_branches(u: BivarPoly, sectors: Sectors) -> list[int]:
     return _signed_counts(u, _certified_bound(u, sectors), sectors)
 
 
-def half_branch_counts(f: BivarPoly, points: list[ProjPointAtInfinity],
-                       epsilon: Fraction | None = None) -> list[tuple[int, int]]:
+def half_branch_counts(f: BivarPoly,
+                       points: list[ProjPointAtInfinity]) -> list[tuple[int, int]]:
     """(plus, minus) half-branch counts of the curve f at each of its points
     at infinity, certified; repeated factors of f count once.  Each counted
     factor is counted by the Newton polygon rule, or on the circle when one
-    of its points is degenerate.
-
-    With epsilon, the whole curve is counted on the circle of radius
-    1/epsilon instead, and the counts are not certified.
-    """
-    if epsilon is not None:
-        epsilon = Fraction(epsilon)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+    of its points is degenerate."""
     if not points:
         return []
     counts = {p: [0, 0] for p in points}
-    if epsilon is None:
-        on_circle = []
-        for u in counted_factors(f, points):
-            by_rule = [_newton_counts(u, p.rep) for p in points]
-            if None in by_rule:
-                on_circle.append(u)
-                continue
-            for p, (plus, minus) in zip(points, by_rule):
-                counts[p][0] += plus
-                counts[p][1] += minus
-        if not on_circle:
-            return [tuple(counts[p]) for p in points]
+    on_circle = []
+    for u in counted_factors(f, points):
+        by_rule = [_newton_counts(u, p.rep) for p in points]
+        if None in by_rule:
+            on_circle.append(u)
+            continue
+        for p, (plus, minus) in zip(points, by_rule):
+            counts[p][0] += plus
+            counts[p][1] += minus
+    if on_circle:
         sectors = circle_sectors(f, points)
-        per_sector = [sum(col) for col in zip(*(count_half_branches(u, sectors)
-                                                for u in on_circle))]
-    else:
-        sectors = circle_sectors(f, points)
-        per_sector = _sector_counts(_circle_chain(f, 1 / epsilon, sectors.rotation), sectors)
-    for (point, side), n in zip(sectors.labels, per_sector):
-        counts[point][0 if side > 0 else 1] += n
+        for u in on_circle:
+            for (point, side), n in zip(sectors.labels, count_half_branches(u, sectors)):
+                counts[point][0 if side > 0 else 1] += n
     return [tuple(counts[p]) for p in points]

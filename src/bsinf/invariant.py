@@ -9,8 +9,6 @@ entry sum is even.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegreeZeroError, NotRealizableError, ZeroPolynomialError
 from .germs import half_branch_counts
 from .poly import BivarPoly, Record
@@ -97,7 +95,8 @@ class NormalFormDescriptor(Record):
 
 class PointRecord(Record):
     """Per-point summary: the two antipodal directions with their counts
-    (a side with no branches is None) and whether the counts are certified."""
+    (a side with no branches is None) and whether the counts are certified,
+    which every count is; the flag stays for the bsinf/1 schema."""
 
     __slots__ = ("point", "plus", "minus", "certified")
 
@@ -120,15 +119,13 @@ class InfinityReport(Record):
 # pipeline
 # ---------------------------------------------------------------------------
 
-def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> InfinityReport:
-    """Complete invariant of the curve {f = 0} at infinity.
+def k_at_infinity(f: BivarPoly) -> InfinityReport:
+    """Complete invariant of the curve {f = 0} at infinity, every count
+    certified.
 
     Works on f as given: a repeated factor has the same real points at
-    infinity, circle points and sector signs as the factor itself, Sturm
-    counts see distinct roots only, and the certified count splits f into
-    its distinct irreducible factors.  epsilon_override skips the certified
-    radius and counts the whole curve on the circle of radius
-    1/epsilon_override, marking every record uncertified.
+    infinity as the factor itself, and the count splits f into its distinct
+    irreducible factors.
     """
     if f.is_zero():
         raise ZeroPolynomialError("not a curve")
@@ -137,7 +134,7 @@ def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> 
     points = points_at_infinity(f)
     records = []
     counts: list[int] = []
-    for point, (plus, minus) in zip(points, half_branch_counts(f, points, epsilon_override)):
+    for point, (plus, minus) in zip(points, half_branch_counts(f, points)):
         if plus == 0 and minus == 0:
             continue
         plus_dir, minus_dir = direction_pair(point)
@@ -145,7 +142,7 @@ def k_at_infinity(f: BivarPoly, *, epsilon_override: Fraction | None = None) -> 
             point=point,
             plus=DirectionCount(plus_dir, plus) if plus else None,
             minus=DirectionCount(minus_dir, minus) if minus else None,
-            certified=epsilon_override is None,
+            certified=True,
         ))
         counts.extend(c for c in (plus, minus) if c)
     k = KInvariant.from_counts(counts)

@@ -241,43 +241,13 @@ def test_file_over_the_text_limit_exits_1(tmp_path, capsys):
     assert f"at offset {MAX_TEXT}" in err
 
 
-def test_epsilon_override_marks_uncertified(capsys):
-    for epsilon in ("1/64", "1e-3"):
-        code, out, _ = run(capsys, "invariant", "--json", "--epsilon", epsilon, "y^2 - x^3")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["k"] == [1, 1]
-        assert all(not entry["certified"] for entry in payload["points"])
-
-
-def test_epsilon_on_separator_exits_1(capsys):
-    # the 2-circle meets x = -2 at (-2, 0), on the separator ray at t = oo
-    code, out, err = run(capsys, "invariant", "--epsilon", "1/2", "(y - x)*(x + 2)")
-    assert code == 1 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "separator" in err
-
-
-def test_invalid_epsilon_exits_1(capsys):
-    # bounded curves too: epsilon is checked before the points at infinity,
-    # and an empty value is no epsilon, not a silent certified count
-    for epsilon in ("-1", "0", "", "1/0"):
-        for curve in ("x^2 + y^2 - 1", "y^2 - x^3"):
-            code, out, err = run(capsys, "invariant", f"--epsilon={epsilon}", curve)
-            assert code == 1 and out == ""
-            lines = err.strip().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), (epsilon, curve)
-
-
-@pytest.mark.parametrize("epsilon", ["1e-100000000", "1e-70000", "1e-65536"])
-def test_huge_epsilon_is_refused_at_once(capsys, epsilon):
-    # 10^100000000 would take minutes to build; the exponent is refused first,
-    # and 10^-65536 passes that check but has more than MAX_COEFF_BITS bits
-    start = time.perf_counter()
-    code, out, err = run(capsys, "invariant", "--epsilon", epsilon, "y - x")
-    assert time.perf_counter() - start < 1
-    assert code == 1 and out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+def test_epsilon_is_no_longer_an_option():
+    # the uncertified count at a chosen radius is retired: a usage error
+    proc = run_python("-m", "bsinf", "invariant", "--epsilon", "1/64", "y - x")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: bsinf")
+    assert "unrecognized arguments: --epsilon" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_emit_samples_csv(tmp_path, capsys):
@@ -333,8 +303,8 @@ def test_exact_commands_import_neither_sympy_nor_numpy():
                            (["invariant", cubic], 0), (["invariant", "y^2 - x^3"], 0),
                            (["invariant", "x^2 - 2*x*y + y^2 - 1"], 0),
                            (["equiv", cubic, lines], 0),
-                           # the whole curve on one circle: nothing to factor
-                           (["invariant", "--epsilon", "1/64", "y^2 - x^3"], 0),
+                           # a degenerate point: the certified circle and its resultants
+                           (["invariant", "(y^2 - x^3)^2 - x^5"], 0),
                            # an irrational direction is refused before factoring
                            (["invariant", "y^2 - 2*x^2"], 1)):
             assert main(argv) == code, argv

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf import germs, poly
-from bsinf.errors import NonTransverseCircleError
 from bsinf.germs import (
     _certified_bound,
     _restriction,
@@ -166,20 +165,11 @@ def test_circle_solution_examples():
                                ("y^2 + x^4", Fraction(2), 0),
                                ("y - x^3", Fraction(1, 2), 2),
                                ("x*y - 1", Fraction(1), 0),  # inside sqrt(2)
-                               ("x*y - 1", Fraction(2), 4)]:
+                               ("x*y - 1", Fraction(2), 4),
+                               # the circle of radius 2 is a component; 3 is not
+                               ("(x^2 + y^2 - 4)*(y - x)", Fraction(3), 2)]:
         sf, _, sectors, _ = circle_setup(parse_poly(text))
         assert sum(_signed_counts(sf, radius, sectors)) == want, text
-
-
-def test_non_transverse_circle_detected():
-    f = parse_poly("(x^2 + y^2 - 4)*(y - x)")
-    sf, _, sectors, _ = circle_setup(f)
-    with pytest.raises(NonTransverseCircleError):
-        _signed_counts(sf, Fraction(2), sectors)
-    with pytest.raises(NonTransverseCircleError):
-        k_at_infinity(f, epsilon_override=Fraction(1, 2))
-    # a different radius is fine
-    assert sum(_signed_counts(sf, Fraction(3), sectors)) == 2
 
 
 def test_sectors_hold_one_direction_each():
@@ -264,26 +254,6 @@ def test_trace_counts_a_crossing_on_a_grid_sample():
     radius, counts = traced(f)
     assert radius == 8
     assert counts == records_by_direction(f) == {(1, 0): 1, (-1, 0): 3}
-
-
-def test_signed_counts_at_override_radius():
-    f = germ_curve(Z - W ** 3)  # y^2 - x^3
-    sf, points, _, _ = circle_setup(f)
-    assert half_branch_counts(sf, points, Fraction(1, 16)) == [(1, 1)]
-    report = k_at_infinity(f, epsilon_override=Fraction(1, 16))
-    assert report.k.entries == (1, 1)
-    assert not any(rec.certified for rec in report.records)
-
-
-def test_epsilon_on_axis_point_rejected():
-    # {y = x} union {x = -2}: the identity rotation puts the separator t = oo
-    # on the negative x-axis, which the 2-circle meets at (-2, 0)
-    f = parse_poly("(y - x)*(x + 2)")
-    sf, points, sectors, _ = circle_setup(f)
-    assert sectors.rotation == (1, 0)
-    with pytest.raises(ValueError):
-        half_branch_counts(sf, points, Fraction(1, 2))
-    assert half_branch_counts(sf, points, Fraction(1, 64)) == [(1, 1), (1, 1)]
 
 
 def test_sector_labels_follow_direction_angles(rng):
@@ -501,12 +471,15 @@ def degenerate_curves() -> list[tuple[BivarPoly, tuple[int, ...]]]:
 def fallback_curves() -> list[tuple[BivarPoly, tuple[int, ...]]]:
     """Each degenerate curve, alone and times one or two lines of other
     directions, with its k: a factor on the circle in curves whose
-    separators differ."""
+    separators differ.  Last, the first of them times the circle
+    x^2 + y^2 = 16: a bounded factor, never counted, though the degenerate
+    factor is counted on circles about the origin."""
     lines = [parse_poly(text) for text in ["y - x - 1", "y + x + 3", "y - 3*x"]]
     out = []
     for f, k in degenerate_curves():
         out += [(f, k), (f * lines[0], tuple(sorted(k + (1, 1)))),
                 (f * lines[1] * lines[2], tuple(sorted(k + (1, 1, 1, 1))))]
+    out.append((parse_poly("(x^2 + y^2 - 16)*((y - x^2)^2 - x)"), (2,)))
     return out
 
 
@@ -519,7 +492,7 @@ def test_degenerate_edges_are_found(text, k, edges):
 
 
 def test_degenerate_points_take_the_circle(monkeypatch):
-    for f, k in degenerate_curves():
+    for f, k in fallback_curves():
         circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
         assert k_at_infinity(f).k.entries == k, str(f)
         assert sum(circles.values()) >= 1, str(f)
@@ -558,13 +531,11 @@ def test_curves_that_took_seconds_on_the_circle_are_fast(f, k):
 
 
 # ---------------------------------------------------------------------------
-# per-process caches of the per-factor certificate
+# the rule's per-process cache and the per-curve certificate
 # ---------------------------------------------------------------------------
 
 def clear_factor_caches() -> None:
     germs._newton_counts.cache_clear()
-    germs._transversality_square.cache_clear()
-    germs._factor_chain.cache_clear()
 
 
 # lines, parabolas and the cusp, and their images under three unimodular
@@ -582,56 +553,24 @@ def product_of(indices: list[int]) -> BivarPoly:
     return functools.reduce(lambda f, i: f * SHARED_POOL[i], indices, BivarPoly.constant(1))
 
 
-def certificate(f: BivarPoly, fresh) -> tuple:
-    """R and the sector counts at R of each counted factor of f, and the
-    records of f; fresh() runs before each query."""
+def certificate(f: BivarPoly) -> list[tuple]:
+    """R and the sector counts at R of each counted factor of f."""
     points = points_at_infinity(f)
     sectors = circle_sectors(f, points)
     per_factor = []
     for u in counted_factors(f, points):
-        fresh()
         radius = _certified_bound(u, sectors)
-        fresh()
         per_factor.append((u, radius, _signed_counts(u, radius, sectors)))
-    fresh()
-    return per_factor, k_at_infinity(f).records
+    return per_factor
 
 
 def test_shared_pool_factors_get_radii_that_differ_by_curve():
     radii = {}
     for i, j in [(0, 1), (0, 2), (0, 3), (0, 5), (5, 4), (5, 1)]:
-        for u, radius, _ in certificate(product_of([i, j]), lambda: None)[0]:
+        for u, radius, _ in certificate(product_of([i, j])):
             radii.setdefault(u, set()).add(radius)
     for u in (SHARED_POOL[0], SHARED_POOL[5]):
         assert len(radii[u.normalized_primitive()]) > 1, str(u)
-
-
-index = st.integers(0, len(SHARED_POOL) - 1)
-
-
-@given(index, st.lists(index, min_size=1, max_size=2), st.lists(index, min_size=1, max_size=2))
-@settings(max_examples=40, deadline=None)
-def test_warm_caches_give_the_cold_answers(shared, first, second):
-    curves = [product_of([shared, *first]), product_of([shared, *second])]
-    clear_factor_caches()
-    warm = [certificate(f, lambda: None) for f in curves]
-    assert germs._transversality_square.cache_info().hits > 0
-    cold = [certificate(f, clear_factor_caches) for f in curves]
-    assert warm == cold
-
-
-def test_exceptions_are_not_cached():
-    # the circle of radius 2 is a component of the first curve, and the second
-    f = parse_poly("(x^2 + y^2 - 4)*(y - x)")
-    circle = parse_poly("x^2 + y^2 - 4")
-    sectors = circle_sectors(f, points_at_infinity(f))
-    clear_factor_caches()
-    for g in (f, circle):
-        for _ in range(2):
-            with pytest.raises(NonTransverseCircleError):
-                _signed_counts(g, 2, sectors)
-    assert germs._factor_chain.cache_info().currsize == 0
-    assert sum(_signed_counts(f, 3, sectors)) == 2
 
 
 CRITERION_1 = [(1, 1), (1, 3), (2, 2), (3, 3), (1, 1, 2, 2), (2, 4), (1, 1, 1, 1), (1, 2, 3)]
@@ -656,43 +595,17 @@ def calls_counted(monkeypatch, name: str, key) -> Counter:
     return calls
 
 
-def test_each_factor_is_certified_once_per_process(monkeypatch):
-    # only the factors with a degenerate point reach the circle; each of them
-    # recurs in three curves, on circles whose radii differ
-    clear_factor_caches()
-    resultants = calls_counted(monkeypatch, "resultant", lambda a, b, var: (a, var))
-    restrictions = calls_counted(monkeypatch, "_restriction",
-                                 lambda g, radius, rotation: (g, radius, rotation))
-    curves = fallback_curves()
-    for f, t in curves:
-        assert k_at_infinity(f).k.entries == t
-    monkeypatch.undo()
-    factors, circles = set(), set()
-    for f, _ in curves:
-        points = points_at_infinity(f)
-        sectors = circle_sectors(f, points)
-        for u in counted_factors(f, points):
-            if None in [germs._newton_counts(u, p.rep) for p in points]:
-                factors.add(u)
-                circles.add((u, _certified_bound(u, sectors), sectors.rotation))
-    assert len(circles) > len(factors) == 2 * len(DEGENERATE)
-    # one resultant per variable for each distinct factor on the circle
-    assert resultants == {(u, var): 1 for u in factors for var in ("x", "y")}
-    assert restrictions == {circle: 1 for circle in circles}
-
-
 def test_transversality_square_of_a_high_degree_curve_is_fast():
     # h = -x - 128*x^127*y: the resultant eliminating x has degree 128 in x,
     # which took about 5 s as a Sylvester determinant
-    germs._transversality_square.cache_clear()
     start = time.perf_counter()
     germs._transversality_square(parse_poly("x^128 - y"))
     assert time.perf_counter() - start < 1
 
 
 def test_threads_share_cold_caches():
-    # the criterion-1 curves meet the rule's cache, the fallback curves the
-    # circle's
+    # the criterion-1 curves meet the rule's cache, the fallback curves also
+    # the circle, which caches nothing
     curves = criterion_1_curves() + [f for f, _ in fallback_curves()]
     clear_factor_caches()
     sequential = [k_at_infinity(f).records for f in curves]
