@@ -75,8 +75,9 @@ def _realization_degree(eta: KInvariant) -> int:
     return sum(e % 2 for e in eta) // 2 + 2 * sum(e // 2 for e in eta)
 
 
-def report_json_dict(report: InfinityReport) -> dict:
-    """The stable machine-readable report (schema bsinf/1)."""
+def report_json_dict(report: InfinityReport, input_text: str) -> dict:
+    """The stable machine-readable report (schema bsinf/1) of the curve
+    printed as input_text."""
     points = []
     for rec in report.records:
         entry: dict = {"point": list(rec.point.rep)}
@@ -88,7 +89,7 @@ def report_json_dict(report: InfinityReport) -> dict:
         points.append(entry)
     return {
         "schema": JSON_SCHEMA,
-        "input": report.input_text,
+        "input": input_text,
         "bounded": report.bounded,
         "points": points,
         "k": list(report.k.entries),
@@ -97,13 +98,13 @@ def report_json_dict(report: InfinityReport) -> dict:
     }
 
 
-def render_report(report: InfinityReport, quiet: bool = False) -> str:
+def render_report(report: InfinityReport, input_text: str, quiet: bool = False) -> str:
     if report.bounded:
         return "bounded curve; k = ()"
     lines = [f"k = {report.k}"]
     if quiet:
         return lines[0]
-    lines.insert(0, f"curve: {report.input_text}")
+    lines.insert(0, f"curve: {input_text}")
     lines.append("points at infinity:")
     for rec in report.records:
         sides = [f"{side.direction} -> {side.count}"
@@ -115,11 +116,12 @@ def render_report(report: InfinityReport, quiet: bool = False) -> str:
 
 
 def _cmd_invariant(args) -> int:
-    report = k_at_infinity(_read_curve_arg(args.curve))
+    f = _read_curve_arg(args.curve)
+    report, text = k_at_infinity(f), str(f)
     if args.json:
-        print(json.dumps(report_json_dict(report), indent=2))
+        print(json.dumps(report_json_dict(report, text), indent=2))
     else:
-        print(render_report(report, quiet=args.quiet))
+        print(render_report(report, text, quiet=args.quiet))
     return 0
 
 
@@ -201,7 +203,7 @@ def _cmd_check(args) -> int:
     if args.json:
         print(json.dumps({
             "agree": agree,
-            "exact": report_json_dict(exact),
+            "exact": report_json_dict(exact, str(f)),
             "oracle": {"counts": list(oracle_counts),
                        "directions": [{"dir": list(u), "count": c}
                                       for u, c in est.directions],

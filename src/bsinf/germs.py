@@ -5,8 +5,9 @@ degenerate.
 
 Per factor.  Distinct irreducible factors meet in finitely many points, so
 the half-branches of the curve are those of its factors, and the counts add.
-Only an irreducible factor u whose leading form vanishes at a point at
-infinity is counted.  Any other factor has a definite leading form, so its
+A branch of an irreducible factor u goes to infinity at one of u's own real
+points at infinity, the real roots of its leading form, so u is counted at
+those points alone.  A factor with none has a definite leading form, so its
 real zero set is bounded and it has no branch at infinity.  That includes
 every rotation-invariant factor U(x^2 + y^2), whose leading form is a power
 of x^2 + y^2.
@@ -25,9 +26,8 @@ So an arc of {u = 0} that goes to infinity in the direction +(alpha, beta)
 is a real half-branch of {F = 0} at the origin in {s > 0}, one in the
 direction -(alpha, beta) is one in {s < 0}, and conversely.  The rule counts
 those half-branches.  F(0, w) = u_d(alpha - w*beta, beta + w*alpha), so
-m = ord_w F(0, w) is the multiplicity of p as a root of u_d.
+m = ord_w F(0, w) >= 1 is the multiplicity of p as a root of u_d.
 
-- m = 0: F(0, 0) != 0, and u has no branch at p.
 - m = 1, the smooth case: dF/dw(0, 0) != 0, so by the implicit function
   theorem {F = 0} is near the origin the graph of an analytic w(s).  Its one
   real branch crosses s = 0, so u has one half-branch on each side: (1, 1).
@@ -83,44 +83,42 @@ The circle.  A small circle around a point at infinity is a large circle in
 the affine plane: the conic structure at infinity.  The circle of radius R
 is parametrized as p(t) = R*M(1 - t^2, 2t)/(1 + t^2), t in R or t = oo, with
 M a rational rotation chosen so that p(oo) = -R*M(1, 0) is no direction of
-the curve.  The curve's directions +-(alpha, beta), one pair per point at
-infinity [alpha : beta], are then finite real roots in t.  Rational
-separators between those roots, and t = oo, cut the circle into sectors,
-each holding one direction; the separators give rays from the origin.
+u.  The directions +-(alpha, beta) of u, one pair per point at infinity
+[alpha : beta] of u, are then finite real roots in t.  Rational separators
+between those roots, and t = oo, cut the circle into sectors, each holding
+one direction; the separators give rays from the origin.
 
-Certificate.  For a counted u the radius R lies beyond two kinds of
+Certificate.  For u on the circle the radius R lies beyond two kinds of
 critical radii:
 
 - Transversality.  A circle is tangent to {u = 0}, or meets a singular point
   of it, only at a common zero of u and its tangential derivative
-  h = x*u_y - y*u_x.  A counted u is not rotation-invariant, and it does not
-  divide h: h = lambda*u would give u(R_theta p) = exp(lambda*theta)*u(p)
-  along every rotation R_theta, and theta = 2*pi forces lambda = 0, hence
-  h = 0.  So u and h are coprime, their resultants eliminating y and x are
-  nonzero, and root bounds Bx, By of those put every common zero within
-  radius (Bx^2 + By^2)^(1/2).
+  h = x*u_y - y*u_x.  u has a point at infinity, so it is not
+  rotation-invariant, and it does not divide h: h = lambda*u would give
+  u(R_theta p) = exp(lambda*theta)*u(p) along every rotation R_theta, and
+  theta = 2*pi forces lambda = 0, hence h = 0.  So u and h are coprime,
+  their resultants eliminating y and x are nonzero, and root bounds Bx, By
+  of those put every common zero within radius (Bx^2 + By^2)^(1/2).
 - Separators.  On a separator ray s*v, s > 0, u has degree deg u in s, as v
-  is no direction of the curve; a root bound of u(s*v), times |v|, bounds
-  the radius of the curve points on that ray.
+  is no direction of u; a root bound of u(s*v), times |v|, bounds the
+  radius of the points of u on that ray.
 
 Beyond R every circle meets {u = 0} transversally and off the separator
 rays.  So outside the disc of radius R, {u = 0} is a union of arcs, each
 meeting every larger circle once and never leaving its sector.  Each arc
-goes to infinity, so its limit direction is a direction of the curve in the
-closed sector, which is the sector's own.  Hence the number of real roots of
+goes to infinity, so its limit direction is a direction of u in the closed
+sector, which is the sector's own.  Hence the number of real roots of
 (1 + t^2)^deg u * u(p(t)) in a sector, a Sturm count, is the number of
 half-branches of u at the sector's direction.  Only upper bounds enter: no
 pairwise eliminations, clearances or smallest root magnitudes.
 
-Per factor and per curve.  The normal forms and realizations are built from
-one family of lines and parabolas, so curves counted in one process share
-most of their factors.  The rule's counts depend on u and the point alone
-and are cached per process, keyed on u and the point's representative, in a
-`functools.lru_cache` of 1024 entries.  Nothing else is cached.  A factor
-falls back to the circle only where some edge is degenerate, and its
-certificate is then computed per curve: the sectors, its radius R, whose
-separator-ray clause depends on the curve's separators, and its Sturm count
-on the circle of radius R.
+The cache.  The normal forms and realizations are built from one family of
+lines and parabolas, so curves counted in one process share most of their
+factors.  Every count of u depends on u alone: its points at infinity, the
+rule at each, and where some edge is degenerate the sectors of u's own
+directions, its radius R and its Sturm count on the circle of radius R.  So
+the counts are cached per process, keyed on u, in a `functools.lru_cache`
+of 1024 entries.  Nothing else in this module is cached.
 """
 
 from __future__ import annotations
@@ -130,17 +128,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
 
-from .poly import (
-    BivarPoly,
-    Record,
-    _list_add,
-    _list_mul,
-    _primitive_ints,
-    _trim,
-    irreducible_factors,
-    resultant,
-)
-from .projective import ProjPointAtInfinity, leading_form
+from .poly import BivarPoly, Record, _list_add, _list_mul, _primitive_ints, _trim, resultant
+from .projective import ProjPointAtInfinity, leading_form, points_at_infinity
 from .roots import _sign_at, isolate_real_roots, root_bound, sign_variations, sturm_chain
 
 
@@ -210,6 +199,45 @@ def _integer_rotation(rotation: tuple[Fraction, Fraction]) -> tuple[int, int, in
 # counting on one circle
 # ---------------------------------------------------------------------------
 
+def _parts_at(terms, x: list, y: list):
+    """part(k, cut=None): the degree-k homogeneous part u_k of the polynomial
+    with the given ((i, j), coefficient) terms at the substitution
+    x = X(t), y = Y(t), for coefficient lists X and Y, as a coefficient list
+    in t cut before t^cut.  Horner in Y over the powers of X, which are
+    computed once."""
+    parts: dict[int, dict[int, int]] = {}
+    for (i, j), cf in terms:
+        parts.setdefault(i + j, {})[j] = cf
+    x_pows = [[1]]
+    for _ in range(max(parts)):
+        x_pows.append(_list_mul(x_pows[-1], x))
+
+    def part(k: int, cut: int | None = None) -> list:
+        row = parts.get(k)
+        if not row:
+            return []
+        out: list = []
+        for j in range(k, -1, -1):
+            out = _list_mul(out, y)
+            if cut is not None:
+                out = _trim(out[:cut])
+            if j in row:
+                out = _list_add(out, [row[j] * c for c in x_pows[k - j][:cut]])
+        return out
+
+    return part
+
+
+def _homogenized_at(terms, degree: int, x: list, y: list, w: list) -> list:
+    """The sum of u_k(X, Y) * W^(degree - k) over k (see `_parts_at`): the
+    polynomial at x = X/W, y = Y/W, times W^degree."""
+    part = _parts_at(terms, x, y)
+    acc: list = []
+    for k in range(degree + 1):
+        acc = _list_add(_list_mul(acc, w), part(k))
+    return acc
+
+
 def _restriction(g: BivarPoly, radius: int | Fraction,
                  rotation: tuple[Fraction, Fraction]) -> list[int]:
     """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius, times a
@@ -220,32 +248,15 @@ def _restriction(g: BivarPoly, radius: int | Fraction,
     count or sector count."""
     a, b, q = _integer_rotation(rotation)
     a, b, q = a * radius.numerator, b * radius.numerator, q * radius.denominator
-    x = _trim([a, -2 * b, -a])
-    y = _trim([b, 2 * a, -b])
-    w = [q, 0, q]
-    x_pows = [[1]]
-    for _ in range(g.degree):
-        x_pows.append(_list_mul(x_pows[-1], x))
-    parts: dict[int, dict[int, int]] = {}
-    for (i, j), cf in zip(g.terms, _primitive_ints(g.terms.values())):
-        parts.setdefault(i + j, {})[j] = cf
-    acc: list[int] = []
-    for k in range(g.degree + 1):
-        row = parts.get(k, {})
-        part: list[int] = []  # the degree-k part of g at (x, y), Horner in y
-        for j in range(k, -1, -1):
-            part = _list_mul(part, y)
-            if j in row:
-                part = _list_add(part, [row[j] * c for c in x_pows[k - j]])
-        acc = _list_add(_list_mul(acc, w), part)
-    return acc
+    return _homogenized_at(zip(g.terms, _primitive_ints(g.terms.values())), g.degree,
+                           _trim([a, -2 * b, -a]), _trim([b, 2 * a, -b]), [q, 0, q])
 
 
 def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
     """Points of {g = 0} on the circle of the given radius, per sector, from
     the sign variations of the Sturm chain of `_restriction` at the
     separators.  No curve point may lie on a separator ray at that radius,
-    which holds for a counted factor at its certified radius."""
+    which holds for a factor at its certified radius."""
     p = _restriction(g, radius, sectors.rotation)
     # the t^(2 deg g) coefficient of p is g(p(oo)); it is nonzero, and p is
     # not zero, as the separator-ray clause of R puts every point of g on the
@@ -265,7 +276,8 @@ def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> li
 # ---------------------------------------------------------------------------
 
 def _transversality_square(u: BivarPoly) -> Fraction:
-    """Bx^2 + By^2 for a counted irreducible u (see the module docstring)."""
+    """Bx^2 + By^2 for an irreducible u with a point at infinity (see the
+    module docstring)."""
     h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
     ry, rx = resultant(u, h, "y"), resultant(u, h, "x")
     assert ry and rx, "coprime inputs have a nonzero resultant"
@@ -273,7 +285,7 @@ def _transversality_square(u: BivarPoly) -> Fraction:
 
 
 def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
-    """The certified radius R of a counted irreducible u: the first power of
+    """The certified radius R of the irreducible u: the first power of
     2 whose square exceeds Bx^2 + By^2 and the squared radius bound of the
     points of u on each separator ray (see the module docstring)."""
     squares = [_transversality_square(u)]
@@ -287,19 +299,10 @@ def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
         e = m * m - n * n
         rays.append((rc * e - 2 * rs * n * m, rs * e + 2 * rc * n * m, rq * m * m))
     # u(s*v) as a polynomial in s, times the positive constant q^deg u (which
-    # leaves the root bound as it is) so that it is in integers, as u is: its
-    # s^k coefficient is A_k * q^(deg - k), A_k the sum of u_ij * a^i * b^j
-    # over i + j = k
-    d = u.degree
+    # leaves the root bound as it is) so that it is in integers, as u is: u at
+    # x = a*s/q, y = b*s/q, times q^deg u
     for a, b, q in rays:
-        pa, pb = [1], [1]
-        for _ in range(d):
-            pa.append(pa[-1] * a)
-            pb.append(pb[-1] * b)
-        along = [0] * (d + 1)
-        for (i, j), cf in u.items():
-            along[i + j] += cf * pa[i] * pb[j]
-        along = [x * q ** (d - k) for k, x in enumerate(along)]
+        along = _homogenized_at(u.items(), u.degree, _trim([0, a]), _trim([0, b]), [q])
         squares.append(root_bound(along) ** 2 * Fraction(a * a + b * b, q * q))
     bound = max(squares)
     radius = 1
@@ -319,28 +322,12 @@ def _chart_rows(u: BivarPoly, alpha: int, beta: int) -> list[list]:
     is in full.  The others are cut before w^m, m the order of row 0 at
     w = 0: a point (i, j) with i >= 1 and j >= m lies above the edges from
     (0, m) to (n, 0).  n is the first row with a nonzero constant term."""
-    d = u.degree
-    parts: dict[int, dict[int, int]] = {}
-    for (i, j), cf in u.items():
-        parts.setdefault(i + j, {})[j] = cf
-    x, y = _trim([alpha, -beta]), _trim([beta, alpha])
-    x_pows = [[1]]
-    for _ in range(d):
-        x_pows.append(_list_mul(x_pows[-1], x))
-    rows: list[list] = []
-    cut = None
-    for k in range(d, -1, -1):
-        row = parts.get(k, {})
-        part: list = []  # Horner in y, as in _restriction
-        if row:
-            for j in range(k, -1, -1):
-                part = _trim(_list_mul(part, y)[:cut])
-                if j in row:
-                    part = _list_add(part, [row[j] * c for c in x_pows[k - j][:cut]])
-        rows.append(part)
-        if cut is None:
-            cut = next(j for j, c in enumerate(part) if c)
-        elif part and part[0]:
+    part = _parts_at(u.items(), _trim([alpha, -beta]), _trim([beta, alpha]))
+    rows = [part(u.degree)]
+    cut = next(j for j, c in enumerate(rows[0]) if c)
+    for k in range(u.degree - 1, -1, -1):
+        rows.append(part(k, cut))
+        if rows[-1] and rows[-1][0]:
             return rows
     raise AssertionError("w divides the chart of a curve that is not a line")
 
@@ -373,16 +360,12 @@ def _newton_edges(rows: list[list]) -> list[tuple[int, int, list]]:
     return edges
 
 
-@lru_cache(maxsize=1024)
 def _newton_counts(u: BivarPoly, rep: tuple[int, int]) -> tuple[int, int] | None:
-    """(plus, minus) half-branches of the irreducible u at the point at
+    """(plus, minus) half-branches of the irreducible u at its own point at
     infinity with the representative rep, by the rule of the module
-    docstring; None when an edge polynomial has a repeated root.  Cached per
-    process: it depends on u and the point alone."""
+    docstring; None when an edge polynomial has a repeated root."""
     alpha, beta = rep
     lf = leading_form(u)
-    if lf.evaluate(alpha, beta) != 0:
-        return 0, 0
     if lf.partial("x").evaluate(alpha, beta) or lf.partial("y").evaluate(alpha, beta):
         return 1, 1
     plus = minus = 0
@@ -402,40 +385,25 @@ def _newton_counts(u: BivarPoly, rep: tuple[int, int]) -> tuple[int, int] | None
     return plus, minus
 
 
-def counted_factors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> list[BivarPoly]:
-    """The irreducible factors of f whose leading form vanishes at one of its
-    points at infinity; the others have no branch at infinity."""
-    return [u for u in irreducible_factors(f)
-            if any(leading_form(u).evaluate(*p.rep) == 0 for p in points)]
-
-
 def count_half_branches(u: BivarPoly, sectors: Sectors) -> list[int]:
-    """Half-branches of the counted irreducible u at each sector's
-    direction, certified."""
+    """Half-branches of the irreducible u at each sector's direction,
+    certified; u has a point at infinity."""
     return _signed_counts(u, _certified_bound(u, sectors), sectors)
 
 
-def half_branch_counts(f: BivarPoly,
-                       points: list[ProjPointAtInfinity]) -> list[tuple[int, int]]:
-    """(plus, minus) half-branch counts of the curve f at each of its points
-    at infinity, certified; repeated factors of f count once.  Each counted
-    factor is counted by the Newton polygon rule, or on the circle when one
-    of its points is degenerate."""
-    if not points:
-        return []
-    counts = {p: [0, 0] for p in points}
-    on_circle = []
-    for u in counted_factors(f, points):
-        by_rule = [_newton_counts(u, p.rep) for p in points]
-        if None in by_rule:
-            on_circle.append(u)
-            continue
-        for p, (plus, minus) in zip(points, by_rule):
-            counts[p][0] += plus
-            counts[p][1] += minus
-    if on_circle:
-        sectors = circle_sectors(f, points)
-        for u in on_circle:
-            for (point, side), n in zip(sectors.labels, count_half_branches(u, sectors)):
-                counts[point][0 if side > 0 else 1] += n
-    return [tuple(counts[p]) for p in points]
+@lru_cache(maxsize=1024)
+def factor_half_branches(u: BivarPoly) -> tuple[tuple[ProjPointAtInfinity, int, int], ...]:
+    """(point, plus, minus) half-branch counts of the irreducible u at each of
+    its real points at infinity, in the order of `points_at_infinity`,
+    certified.  Each point is counted by the Newton polygon rule, or, when
+    one of them is degenerate, all of them on the circle of u's own
+    directions.  Cached per process: it depends on u alone."""
+    points = points_at_infinity(u)
+    counts = [_newton_counts(u, p.rep) for p in points]
+    if None in counts:
+        by_point = {p: [0, 0] for p in points}
+        sectors = circle_sectors(u, points)
+        for (point, side), n in zip(sectors.labels, count_half_branches(u, sectors)):
+            by_point[point][0 if side > 0 else 1] += n
+        counts = [by_point[p] for p in points]
+    return tuple((p, plus, minus) for p, (plus, minus) in zip(points, counts))

@@ -10,9 +10,9 @@ entry sum is even.
 from __future__ import annotations
 
 from .errors import DegreeZeroError, NotRealizableError, ZeroPolynomialError
-from .germs import half_branch_counts
-from .poly import BivarPoly, Record
-from .projective import DirectionS1, ProjPointAtInfinity, direction_pair, points_at_infinity
+from .germs import factor_half_branches
+from .poly import BivarPoly, Record, irreducible_factors
+from .projective import DirectionS1, ProjPointAtInfinity, direction_pair, has_points_at_infinity
 
 
 class DirectionCount(Record):
@@ -108,11 +108,11 @@ class PointRecord(Record):
 class InfinityReport(Record):
     """User-facing summary of the structure of a curve at infinity."""
 
-    __slots__ = ("input_text", "records", "k", "descriptor", "bounded")
+    __slots__ = ("records", "k", "descriptor", "bounded")
 
-    def __init__(self, input_text: str, records: tuple[PointRecord, ...], k: KInvariant,
+    def __init__(self, records: tuple[PointRecord, ...], k: KInvariant,
                  descriptor: NormalFormDescriptor, bounded: bool):
-        super().__init__(input_text, records, k, descriptor, bounded)
+        super().__init__(records, k, descriptor, bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +123,26 @@ def k_at_infinity(f: BivarPoly) -> InfinityReport:
     """Complete invariant of the curve {f = 0} at infinity, every count
     certified.
 
-    Works on f as given: a repeated factor has the same real points at
-    infinity as the factor itself, and the count splits f into its distinct
-    irreducible factors.
+    Works on f as given: the count splits f into its distinct irreducible
+    factors, so a repeated factor counts once, and adds their counts at
+    each of their points at infinity.  A curve whose leading form is
+    definite has no point at infinity and is not split: at high degree the
+    split would take seconds.
     """
     if f.is_zero():
         raise ZeroPolynomialError("not a curve")
     if f.is_constant():
         raise DegreeZeroError("not a curve")
-    points = points_at_infinity(f)
+    totals: dict[ProjPointAtInfinity, list[int]] = {}
+    for u in irreducible_factors(f) if has_points_at_infinity(f) else ():
+        for point, plus, minus in factor_half_branches(u):
+            total = totals.setdefault(point, [0, 0])
+            total[0] += plus
+            total[1] += minus
     records = []
     counts: list[int] = []
-    for point, (plus, minus) in zip(points, half_branch_counts(f, points)):
+    for point in sorted(totals, key=lambda p: p.rep):
+        plus, minus = totals[point]
         if plus == 0 and minus == 0:
             continue
         plus_dir, minus_dir = direction_pair(point)
@@ -147,7 +155,6 @@ def k_at_infinity(f: BivarPoly) -> InfinityReport:
         counts.extend(c for c in (plus, minus) if c)
     k = KInvariant.from_counts(counts)
     return InfinityReport(
-        input_text=str(f),
         records=tuple(records),
         k=k,
         descriptor=canonical_descriptor(k),

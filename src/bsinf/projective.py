@@ -11,7 +11,7 @@ import math
 
 from .errors import DegreeZeroError, IrrationalDirectionError, ZeroPolynomialError
 from .poly import BivarPoly, Record
-from .roots import isolate_real_roots
+from .roots import _sign_at, isolate_real_roots, sign_variations, sturm_chain
 
 
 def _normalize_pair(a: int, b: int) -> tuple[int, int]:
@@ -95,6 +95,20 @@ def points_at_infinity(f: BivarPoly) -> list[ProjPointAtInfinity]:
             slope = iv.exact_point
             points.append(ProjPointAtInfinity((slope.denominator, slope.numerator)))
     return sorted(points, key=lambda p: p.rep)
+
+
+def has_points_at_infinity(f: BivarPoly) -> bool:
+    """Whether the leading form has a real projective root: [0 : 1], or a
+    real root of lf(1, t).  There is one when the degree d is odd, or
+    when lf(1, t) is 0 or has the sign opposite to its lead, the sign it
+    has at +-oo for d even, at t = 0, 1 or -1; else a Sturm count decides."""
+    restricted = leading_form(f).subs_value("x", 1)
+    if len(restricted) - 1 < f.degree or f.degree % 2:
+        return True
+    if any(_sign_at(restricted, t) * restricted[-1] <= 0 for t in (0, 1, -1)):
+        return True
+    chain = sturm_chain(restricted)
+    return sign_variations(chain, -math.inf) != sign_variations(chain, math.inf)
 
 
 def direction_pair(c: ProjPointAtInfinity) -> tuple[DirectionS1, DirectionS1]:

@@ -143,6 +143,9 @@ def isolate_real_roots(p: list) -> list[RootInterval]:
     sf = chain[0]  # the squarefree part of p, up to a nonzero factor
     if len(sf) <= 1:
         return []
+    if len(sf) == 2:  # one rational root, as for every line and parabola factor
+        root = Fraction(-sf[0], sf[1])
+        return [RootInterval(root, root, root)]
     lead = abs(sf[-1])
     cauchy = root_bound(sf)
     bound = Fraction(1)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from bsinf.germs import _certified_bound, _signed_counts, circle_sectors, counted_factors
+from bsinf.germs import _certified_bound, _signed_counts, circle_sectors, factor_half_branches
 from bsinf.invariant import (
     KInvariant,
     canonical_descriptor,
@@ -21,7 +21,7 @@ from bsinf.invariant import (
 )
 from bsinf.oracle import oracle_k
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, squarefree_part
+from bsinf.poly import BivarPoly, irreducible_factors, squarefree_part
 from bsinf.projective import points_at_infinity
 
 from conftest import affine_image, even_sum_tuples, germ_curve, random_unimodular
@@ -179,7 +179,8 @@ def test_criterion_7_radius_stability(corpus):
         if not points:
             continue
         sectors = circle_sectors(sf, points)
-        for u in counted_factors(sf, points):
+        # the factors with a point at infinity, on the sectors of the whole curve
+        for u in filter(factor_half_branches, irreducible_factors(sf)):
             radius = _certified_bound(u, sectors)
             n0 = _signed_counts(u, radius, sectors)
             n1 = _signed_counts(u, 7 * radius, sectors)

@@ -262,8 +262,11 @@ def test_emit_samples_csv(tmp_path, capsys):
 
 
 def test_irrational_direction_reported(capsys):
-    code, _, err = run(capsys, "invariant", "y^2 - 2*x^2")
-    assert code == 1 and "irrational" in err.lower()
+    # the second is refused at its factor y^2 - 2*x^2, after the factor split
+    for text in ["y^2 - 2*x^2", "(y - x)*(y^2 - 2*x^2)"]:
+        code, _, err = run(capsys, "invariant", "--json", text)
+        assert code == 1 and "irrational" in err.lower(), text
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
 
 
 def test_check_disagreement_exit_4(capsys, monkeypatch):
@@ -305,8 +308,9 @@ def test_exact_commands_import_neither_sympy_nor_numpy():
                            (["equiv", cubic, lines], 0),
                            # a degenerate point: the certified circle and its resultants
                            (["invariant", "(y^2 - x^3)^2 - x^5"], 0),
-                           # an irrational direction is refused before factoring
-                           (["invariant", "y^2 - 2*x^2"], 1)):
+                           # an irrational direction is refused
+                           (["invariant", "y^2 - 2*x^2"], 1),
+                           (["invariant", "(y - x)*(y^2 - 2*x^2)"], 1)):
             assert main(argv) == code, argv
         unused = ("sympy", "numpy", "bsinf.oracle", "dataclasses")
         print(json.dumps(sorted(m for m in unused if m in sys.modules)))

@@ -18,8 +18,7 @@ from bsinf.germs import (
     _signed_counts,
     circle_sectors,
     count_half_branches,
-    counted_factors,
-    half_branch_counts,
+    factor_half_branches,
 )
 from bsinf.invariant import (
     KInvariant,
@@ -51,12 +50,29 @@ W = BivarPoly.x()
 Z = BivarPoly.y()
 
 
+def counted_factors(f: BivarPoly) -> list[BivarPoly]:
+    """The irreducible factors of f with a point at infinity."""
+    return [u for u in irreducible_factors(f) if factor_half_branches(u)]
+
+
+def half_branch_counts(f: BivarPoly, points) -> list[tuple[int, int]]:
+    """(plus, minus) of f at each of the given points, summed over the
+    counts of its irreducible factors."""
+    counts = {p: [0, 0] for p in points}
+    for u in irreducible_factors(f):
+        for point, plus, minus in factor_half_branches(u):
+            counts[point][0] += plus
+            counts[point][1] += minus
+    return [tuple(counts[p]) for p in points]
+
+
 def circle_setup(f: BivarPoly):
-    """(squarefree part, points at infinity, sectors, counted factors)."""
+    """(squarefree part, points at infinity, sectors of the whole curve,
+    counted factors)."""
     sf = squarefree_part(f)
     points = points_at_infinity(sf)
     sectors = circle_sectors(sf, points)
-    return sf, points, sectors, counted_factors(sf, points)
+    return sf, points, sectors, counted_factors(sf)
 
 
 def family_germs(k: int) -> list[tuple[BivarPoly, tuple[int, int]]]:
@@ -148,6 +164,14 @@ def test_no_real_germ_counts_zero():
     sf, points, _, _ = circle_setup(f)
     assert half_branch_counts(sf, points) == [(0, 0)]
     assert k_at_infinity(f).bounded
+    # (y - x)^2 + 1 has no real point, but its leading form vanishes at
+    # [1 : 1]; the line y + x has one branch each way along (1, -1)
+    f = parse_poly("((y - x)^2 + 1)*(y + x)")
+    sf, points, _, _ = circle_setup(f)
+    assert [p.rep for p in points] == [(1, -1), (1, 1)]
+    assert half_branch_counts(sf, points) == [(1, 1), (0, 0)]
+    assert [rec.point.rep for rec in k_at_infinity(f).records] == [(1, -1)]
+    assert k_at_infinity(f).k.entries == (1, 1)
 
 
 def test_isolated_point_rotation_invariant_factor():
@@ -407,10 +431,9 @@ def test_rule_on_hand_checked_charts(text, rep, edges, want, monkeypatch):
         assert germs._newton_edges(germs._chart_rows(f, *rep)) == edges
     (u,) = irreducible_factors(f)
     assert germs._newton_counts(u, rep) == want
+    clear_factor_caches()
     circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
-    points = points_at_infinity(f)
-    assert [p.rep for p in points] == [rep]
-    assert half_branch_counts(f, points) == [want]
+    assert factor_half_branches(u) == ((ProjPointAtInfinity(rep), *want),)
     assert not circles
 
 
@@ -442,7 +465,7 @@ def test_rule_agrees_with_the_circle(f):
     _, points, sectors, counted = circle_setup(f)
     for u in counted:
         on_circle = circle_counts_by_point(u, points, sectors)
-        for p in points:
+        for p in points_at_infinity(u):
             by_rule = germs._newton_counts(u, p.rep)
             if by_rule is not None:  # degenerate points are the circle's alone
                 assert by_rule == on_circle[p], (str(u), str(p))
@@ -493,10 +516,22 @@ def test_degenerate_edges_are_found(text, k, edges):
 
 def test_degenerate_points_take_the_circle(monkeypatch):
     for f, k in fallback_curves():
+        clear_factor_caches()
         circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
         assert k_at_infinity(f).k.entries == k, str(f)
         assert sum(circles.values()) >= 1, str(f)
         monkeypatch.undo()
+
+
+def test_shared_degenerate_factor_takes_the_circle_once(monkeypatch):
+    # (y - x^2)^2 - x is degenerate at [0 : 1] (phi = (1 - z)^2); its
+    # branches y = x^2 +- x^(1/2) both go up, so it gives (2, 0) there.  Each
+    # line adds one branch each way at its own point, so k = (1, 1, 2) twice
+    clear_factor_caches()
+    circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+    for text in ["((y - x^2)^2 - x)*(y - 2*x)", "((y - x^2)^2 - x)*(y + 3*x)"]:
+        assert k_at_infinity(parse_poly(text)).k.entries == (1, 1, 2), text
+    assert circles == {parse_poly("(y - x^2)^2 - x"): 1}
 
 
 def test_criterion_1_curves_never_reach_the_circle(monkeypatch):
@@ -518,11 +553,13 @@ def generic_curve(half: int) -> BivarPoly:
 
 
 @pytest.mark.parametrize("f, k", [(generic_curve(7), (1,) * 28),
-                                  (parse_poly("x^128 - y"), (2,))],
-                         ids=["generic degree 14", "x^128 - y"])
+                                  (parse_poly("x^128 - y"), (2,)),
+                                  (parse_poly("x^200 + y^200 + 1"), ())],
+                         ids=["generic degree 14", "x^128 - y", "x^200 + y^200 + 1"])
 def test_curves_that_took_seconds_on_the_circle_are_fast(f, k):
     # 2.3 s and 2.2 s on the circle: two resultants, R and a Sturm chain of
-    # degree 2d; x^128 - y still spends most of its time in factoring
+    # degree 2d; x^128 - y still spends most of its time in factoring.  The
+    # bounded x^200 + y^200 + 1 took 9.5 s when every curve was factored
     clear_factor_caches()
     poly.irreducible_factors.cache_clear()
     start = time.perf_counter()
@@ -531,16 +568,17 @@ def test_curves_that_took_seconds_on_the_circle_are_fast(f, k):
 
 
 # ---------------------------------------------------------------------------
-# the rule's per-process cache and the per-curve certificate
+# the per-process cache of each factor's counts
 # ---------------------------------------------------------------------------
 
 def clear_factor_caches() -> None:
-    germs._newton_counts.cache_clear()
+    germs.factor_half_branches.cache_clear()
 
 
 # lines, parabolas and the cusp, and their images under three unimodular
 # maps: products of these share factors across curves whose separators, and
-# so whose separator-ray clauses and radii R, differ
+# so whose separator-ray clauses and radii R, differ; that is why a factor
+# on the circle is certified on the sectors of its own directions
 SHARED_POOL = [parse_poly(text) for text in [
     "y - x - 1", "x + 2", "y + 2*x - 3", "(y - x)^2 - (y + x)", "y - x^2", "y^2 - x^3"]]
 SHARED_POOL += [affine_image(u, m, shift) for m, shift in [(((1, 1), (0, 1)), (0, -2)),
@@ -554,11 +592,12 @@ def product_of(indices: list[int]) -> BivarPoly:
 
 
 def certificate(f: BivarPoly) -> list[tuple]:
-    """R and the sector counts at R of each counted factor of f."""
+    """R and the sector counts at R of each counted factor of f, on the
+    sectors of the whole curve."""
     points = points_at_infinity(f)
     sectors = circle_sectors(f, points)
     per_factor = []
-    for u in counted_factors(f, points):
+    for u in counted_factors(f):
         radius = _certified_bound(u, sectors)
         per_factor.append((u, radius, _signed_counts(u, radius, sectors)))
     return per_factor
@@ -604,8 +643,8 @@ def test_transversality_square_of_a_high_degree_curve_is_fast():
 
 
 def test_threads_share_cold_caches():
-    # the criterion-1 curves meet the rule's cache, the fallback curves also
-    # the circle, which caches nothing
+    # the criterion-1 curves meet the rule, the fallback curves also the
+    # circle; both fill the one cache of each factor's counts
     curves = criterion_1_curves() + [f for f, _ in fallback_curves()]
     clear_factor_caches()
     sequential = [k_at_infinity(f).records for f in curves]

@@ -4,7 +4,13 @@ from bsinf.errors import IrrationalDirectionError
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import squarefree_part
-from bsinf.projective import ProjPointAtInfinity, direction_pair, leading_form, points_at_infinity
+from bsinf.projective import (
+    ProjPointAtInfinity,
+    direction_pair,
+    has_points_at_infinity,
+    leading_form,
+    points_at_infinity,
+)
 
 from conftest import affine_image, random_unimodular
 
@@ -19,6 +25,23 @@ def test_points_at_infinity_examples():
     assert [p.rep for p in points_at_infinity(parse_poly("y^2 - x^3"))] == [(0, 1)]
     assert points_at_infinity(parse_poly("x^2 + y^2 - 1")) == []
     assert [p.rep for p in points_at_infinity(parse_poly("y^2 - x^2"))] == [(1, -1), (1, 1)]
+
+
+@pytest.mark.parametrize("text, has_points", [
+    ("x*y - 1", True),                   # no y^2 term: [0 : 1]
+    ("x^3 + y^2", True),                 # odd degree
+    ("y^2 - x^2", True),                 # t^2 - 1 < 0 at t = 0
+    ("(y - 2*x)^2 + 1", True),           # (t - 2)^2 > 0 at 0, 1, -1: Sturm
+    ("y^2 - 2*x^2", True),               # irrational roots, counted not isolated
+    ("x^2 + y^2 - 1", False),            # 1 + t^2 > 0 at 0, 1, -1: Sturm
+    ("x^4 + y^4 + x*y", False),
+    ("x^200 + y^200 + 1", False),
+])
+def test_has_points_at_infinity(text, has_points):
+    f = parse_poly(text)
+    assert has_points_at_infinity(f) == has_points
+    if text != "y^2 - 2*x^2":
+        assert bool(points_at_infinity(f)) == has_points
 
 
 def test_points_sorted_and_bounded_by_degree(rng):

@@ -53,10 +53,10 @@ CASES = {
         "PointRecord(point=ProjPointAtInfinity(rep=(1, 2)), plus=DirectionCount("
         "direction=DirectionS1(rep=(1, -2)), count=2), minus=None, certified=True)"),
     "InfinityReport": (
-        InfinityReport, ("input_text", "records", "k", "descriptor", "bounded"),
-        ("y - 2*x", (RECORD,), KInvariant((2,)), NormalFormDescriptor(((0, 1),)), False),
-        "y - x",
-        "InfinityReport(input_text='y - 2*x', records=(PointRecord(point=ProjPointAtInfinity("
+        InfinityReport, ("records", "k", "descriptor", "bounded"),
+        ((RECORD,), KInvariant((2,)), NormalFormDescriptor(((0, 1),)), False),
+        (),
+        "InfinityReport(records=(PointRecord(point=ProjPointAtInfinity("
         "rep=(1, 2)), plus=DirectionCount(direction=DirectionS1(rep=(1, -2)), count=2), "
         "minus=None, certified=True),), k=KInvariant((2,)), "
         "descriptor=NormalFormDescriptor(((0, 1),)), bounded=False)"),

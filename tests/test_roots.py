@@ -47,6 +47,9 @@ def test_no_real_roots():
 def test_rational_roots_become_exact_points():
     ivs = isolate_real_roots([0, -1, 0, 1])  # x^3 - x
     assert [iv.exact_point for iv in ivs] == [Fraction(-1), Fraction(0), Fraction(1)]
+    # a squarefree part of degree 1: 3 - 7t, and (t - 7)^2
+    for p, root in (([3, -7], Fraction(3, 7)), ([49, -14, 1], Fraction(7))):
+        assert isolate_real_roots(p) == [RootInterval(root, root, root)]
 
 
 def test_mixed_rational_and_irrational():
