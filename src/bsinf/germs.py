@@ -1,7 +1,7 @@
 """Certified counting of the real half-branches of a plane curve at each of
-its directions at infinity: from the Newton polygon of a chart at each point
-at infinity, and on large circles about the origin where that polygon is
-degenerate.
+its directions at infinity, in the chart at each point at infinity: from the
+Newton polygon of the chart, and where that polygon is degenerate, from the
+real roots of the chart on a short segment near the point.
 
 Per factor.  Distinct irreducible factors meet in finitely many points, so
 the half-branches of the curve are those of its factors, and the counts add.
@@ -77,126 +77,51 @@ m = ord_w F(0, w) >= 1 is the multiplicity of p as a root of u_d.
     phi, and the minus side twice the negative roots.
 
   If some phi has a repeated root, later Puiseux terms decide the branches,
-  and u is counted on the circle instead, at all its points.
+  and the point is counted on a segment instead.
 
-The circle.  A small circle around a point at infinity is a large circle in
-the affine plane: the conic structure at infinity.  The circle of radius R
-is parametrized as p(t) = R*M(1 - t^2, 2t)/(1 + t^2), t in R or t = oo, with
-M a rational rotation chosen so that p(oo) = -R*M(1, 0) is no direction of
-u.  The directions +-(alpha, beta) of u, one pair per point at infinity
-[alpha : beta] of u, are then finite real roots in t.  Rational separators
-between those roots, and t = oo, cut the circle into sectors, each holding
-one direction; the separators give rays from the origin.
+The segment.  This count holds at every point of u, and the code runs it
+where the rule above does not decide.  Take the whole chart F; it is
+squarefree and not free of w, as u is irreducible, so the resultant
+D(s) = res_w(F, dF/dw) is not zero.  F(0, w) is not zero either, so it has
+finitely many roots.  Let r be a power of 2 below the modulus of every
+nonzero root of F(0, w), and s1 one below the modulus of every nonzero root
+of D(s), F(s, -r) and F(s, r).  Neither F(s, -r) nor F(s, r) is zero, as
+w + r or w - r dividing F would make -r or r a root of F(0, w).  On
+0 < |s| <= s1:
 
-Certificate.  For u on the circle the radius R lies beyond two kinds of
-critical radii:
+- D(s) != 0, so the roots of F(s, .) are simple and its degree in w stays
+  fixed: D carries the lead of F in w as a factor.
+- Neither -r nor r is a root.
 
-- Transversality.  A circle is tangent to {u = 0}, or meets a singular point
-  of it, only at a common zero of u and its tangential derivative
-  h = x*u_y - y*u_x.  u has a point at infinity, so it is not
-  rotation-invariant, and it does not divide h: h = lambda*u would give
-  u(R_theta p) = exp(lambda*theta)*u(p) along every rotation R_theta, and
-  theta = 2*pi forces lambda = 0, hence h = 0.  So u and h are coprime,
-  their resultants eliminating y and x are nonzero, and root bounds Bx, By
-  of those put every common zero within radius (Bx^2 + By^2)^(1/2).
-- Separators.  On a separator ray s*v, s > 0, u has degree deg u in s, as v
-  is no direction of u; a root bound of u(s*v), times |v|, bounds the
-  radius of the points of u on that ray.
-
-Beyond R every circle meets {u = 0} transversally and off the separator
-rays.  So outside the disc of radius R, {u = 0} is a union of arcs, each
-meeting every larger circle once and never leaving its sector.  Each arc
-goes to infinity, so its limit direction is a direction of u in the closed
-sector, which is the sector's own.  Hence the number of real roots of
-(1 + t^2)^deg u * u(p(t)) in a sector, a Sturm count, is the number of
-half-branches of u at the sector's direction.  Only upper bounds enter: no
-pairwise eliminations, clearances or smallest root magnitudes.
+So the real roots of F(s, .) in (-r, r) move continuously with s, never meet
+and never leave, and their number is constant on each side of s = 0.  As
+s -> 0 they tend to roots of F(0, .) in [-r, r], and the only one there is
+0.  So they are exactly the real half-branches of {F = 0} at the origin on
+that side: plus is the Sturm count of F(s1, .) on (-r, r), and minus that
+of F(-s1, .).  Only lower bounds on nonzero roots enter, each from Cauchy's
+bound, and one resultant.
 
 The cache.  The normal forms and realizations are built from one family of
 lines and parabolas, so curves counted in one process share most of their
-factors.  Every count of u depends on u alone: its points at infinity, the
-rule at each, and where some edge is degenerate the sectors of u's own
-directions, its radius R and its Sturm count on the circle of radius R.  So
-the counts are cached per process, keyed on u, in a `functools.lru_cache`
-of 1024 entries.  Nothing else in this module is cached.
+factors.  Every count of u depends on u alone: its points at infinity and
+the rule or the segment at each.  So the counts are cached per process,
+keyed on u, in a `functools.lru_cache` of 1024 entries.  Nothing else in
+this module is cached.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import count
+from functools import lru_cache
 
-from .poly import BivarPoly, Record, _list_add, _list_mul, _primitive_ints, _trim, resultant
+from .poly import BivarPoly, _list_add, _list_mul, _trim, resultant
 from .projective import ProjPointAtInfinity, leading_form, points_at_infinity
-from .roots import _sign_at, isolate_real_roots, root_bound, sign_variations, sturm_chain
-
-
-class Sectors(Record):
-    """The rotation M = (c, s) of the circle parametrization, the finite
-    separators in increasing order (t = oo closes the list), and per sector,
-    from t = -oo up, its point at infinity and side (+1 for the direction
-    +(alpha, beta) of the point's representative, -1 for its antipode)."""
-
-    __slots__ = ("rotation", "separators", "labels")
-
-    def __init__(self, rotation: tuple[Fraction, Fraction], separators: tuple[Fraction, ...],
-                 labels: tuple[tuple[ProjPointAtInfinity, int], ...]):
-        super().__init__(rotation, separators, labels)
-
-
-def _rotation(lf: BivarPoly) -> tuple[Fraction, Fraction]:
-    """The first Pythagorean rotation (c, s) = ((1 - m^2), 2m)/(1 + m^2),
-    m = 0, 1, 1/2, 1/3, ..., with lf(c, s) != 0; lf has finitely many roots."""
-    for k in count():
-        m = Fraction(1, k) if k else Fraction(0)
-        c, s = (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
-        if lf.evaluate(c, s) != 0:
-            return c, s
-
-
-def circle_sectors(f: BivarPoly, points: list[ProjPointAtInfinity]) -> Sectors:
-    """The sectors of the circles about the origin for the curve f with the
-    given points at infinity.
-
-    In the rotated frame a point's representative is (a, b) = q*M^T(alpha,
-    beta), an integer vector for the integer rotation (a, b)/q of
-    `_integer_rotation`, and cross(t) = b*t^2 + 2a*t - b, the cross product
-    of (a, b) with (1 - t^2, 2t), vanishes at its two directions.  The
-    product of the cross polynomials has the curve's directions as its
-    simple real roots.
-
-    Labels come from the order of the directions by angle.  The rotation
-    keeps +-M(1, 0) off the curve's directions, so every direction (a, b) of
-    the rotated frame has b != 0.  Its parameter is t = tan(theta/2) for its
-    angle theta in (-pi, pi), negative for b < 0 and positive for b > 0; on
-    either half-plane theta grows with -a/b = -cot(theta), and so does t.  So
-    the directions sorted by the key (b > 0, -a/b) are the roots in
-    increasing order, which are the sectors from t = -oo up.
-    """
-    rotation = _rotation(leading_form(f))
-    c, s, _ = _integer_rotation(rotation)
-    frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
-    crosses = [[-b, 2 * a, b] for a, b in frames]
-    roots = isolate_real_roots(reduce(_list_mul, crosses, [1]))
-    signed = [(side * a, side * b, point, side)
-              for point, (a, b) in zip(points, frames) for side in (1, -1)]
-    signed.sort(key=lambda d: (d[1] > 0, Fraction(-d[0], d[1])))
-    assert len(signed) == len(roots), "each direction is a simple root"
-    separators = tuple((a.high + b.low) / 2 for a, b in zip(roots, roots[1:]))
-    return Sectors(rotation, separators, tuple((point, side) for _, _, point, side in signed))
-
-
-def _integer_rotation(rotation: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
-    """(a, b, q) with q > 0 and the rotation (c, s) = (a, b)/q."""
-    c, s = rotation
-    q = math.lcm(c.denominator, s.denominator)
-    return c.numerator * (q // c.denominator), s.numerator * (q // s.denominator), q
+from .roots import _below_nonzero_roots, sign_variations, sturm_chain
 
 
 # ---------------------------------------------------------------------------
-# counting on one circle
+# the chart at a point
 # ---------------------------------------------------------------------------
 
 def _parts_at(terms, x: list, y: list):
@@ -226,89 +151,6 @@ def _parts_at(terms, x: list, y: list):
         return out
 
     return part
-
-
-def _homogenized_at(terms, degree: int, x: list, y: list, w: list) -> list:
-    """The sum of u_k(X, Y) * W^(degree - k) over k (see `_parts_at`): the
-    polynomial at x = X/W, y = Y/W, times W^degree."""
-    part = _parts_at(terms, x, y)
-    acc: list = []
-    for k in range(degree + 1):
-        acc = _list_add(_list_mul(acc, w), part(k))
-    return acc
-
-
-def _restriction(g: BivarPoly, radius: int | Fraction,
-                 rotation: tuple[Fraction, Fraction]) -> list[int]:
-    """(1 + t^2)^deg g * g(p(t)) on the circle of the given radius, times a
-    positive constant that makes it an integer polynomial: the one that makes
-    g primitive, times q^deg g for the denominators q of the rotation and the
-    radius, with which p(t) = (X(t), Y(t))/(q*(1 + t^2)) for integer
-    polynomials X, Y.  A positive factor changes no sign, so no root, Sturm
-    count or sector count."""
-    a, b, q = _integer_rotation(rotation)
-    a, b, q = a * radius.numerator, b * radius.numerator, q * radius.denominator
-    return _homogenized_at(zip(g.terms, _primitive_ints(g.terms.values())), g.degree,
-                           _trim([a, -2 * b, -a]), _trim([b, 2 * a, -b]), [q, 0, q])
-
-
-def _signed_counts(g: BivarPoly, radius: int | Fraction, sectors: Sectors) -> list[int]:
-    """Points of {g = 0} on the circle of the given radius, per sector, from
-    the sign variations of the Sturm chain of `_restriction` at the
-    separators.  No curve point may lie on a separator ray at that radius,
-    which holds for a factor at its certified radius."""
-    p = _restriction(g, radius, sectors.rotation)
-    # the t^(2 deg g) coefficient of p is g(p(oo)); it is nonzero, and p is
-    # not zero, as the separator-ray clause of R puts every point of g on the
-    # ray at t = oo strictly inside R
-    assert len(p) - 1 == 2 * g.degree, "a curve point on the ray at t = oo"
-    chain = sturm_chain(p)
-    # chain[0], p made primitive, has the roots of p; the same clause keeps
-    # them off the finite separators
-    assert all(_sign_at(chain[0], t) for t in sectors.separators), \
-        "a curve point on a separator ray"
-    variations = [sign_variations(chain, t) for t in (-math.inf, *sectors.separators, math.inf)]
-    return [a - b for a, b in zip(variations, variations[1:])]
-
-
-# ---------------------------------------------------------------------------
-# certified radius
-# ---------------------------------------------------------------------------
-
-def _transversality_square(u: BivarPoly) -> Fraction:
-    """Bx^2 + By^2 for an irreducible u with a point at infinity (see the
-    module docstring)."""
-    h = BivarPoly.x() * u.partial("y") - BivarPoly.y() * u.partial("x")
-    ry, rx = resultant(u, h, "y"), resultant(u, h, "x")
-    assert ry and rx, "coprime inputs have a nonzero resultant"
-    return root_bound(ry) ** 2 + root_bound(rx) ** 2
-
-
-def _certified_bound(u: BivarPoly, sectors: Sectors) -> int:
-    """The certified radius R of the irreducible u: the first power of
-    2 whose square exceeds Bx^2 + By^2 and the squared radius bound of the
-    points of u on each separator ray (see the module docstring)."""
-    squares = [_transversality_square(u)]
-    # each ray direction v = (a, b)/q in integers: M(1 - t^2, 2t) for the
-    # separators t = n/m, over the rotation's denominator times m^2, and
-    # -M(1, 0) for t = oo
-    rc, rs, rq = _integer_rotation(sectors.rotation)
-    rays = [(-rc, -rs, rq)]
-    for t in sectors.separators:
-        n, m = t.numerator, t.denominator
-        e = m * m - n * n
-        rays.append((rc * e - 2 * rs * n * m, rs * e + 2 * rc * n * m, rq * m * m))
-    # u(s*v) as a polynomial in s, times the positive constant q^deg u (which
-    # leaves the root bound as it is) so that it is in integers, as u is: u at
-    # x = a*s/q, y = b*s/q, times q^deg u
-    for a, b, q in rays:
-        along = _homogenized_at(u.items(), u.degree, _trim([0, a]), _trim([0, b]), [q])
-        squares.append(root_bound(along) ** 2 * Fraction(a * a + b * b, q * q))
-    bound = max(squares)
-    radius = 1
-    while radius * radius <= bound:
-        radius *= 2
-    return radius
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +227,49 @@ def _newton_counts(u: BivarPoly, rep: tuple[int, int]) -> tuple[int, int] | None
     return plus, minus
 
 
-def count_half_branches(u: BivarPoly, sectors: Sectors) -> list[int]:
-    """Half-branches of the irreducible u at each sector's direction,
-    certified; u has a point at infinity."""
-    return _signed_counts(u, _certified_bound(u, sectors), sectors)
+# ---------------------------------------------------------------------------
+# the segment of the chart, where the rule does not decide
+# ---------------------------------------------------------------------------
+
+def _segment(u: BivarPoly, rep: tuple[int, int]) -> tuple[BivarPoly, Fraction, Fraction]:
+    """(F, r, s1) for the irreducible u at its own point at infinity with the
+    representative rep: the whole chart F, with x for s and y for w, and the
+    r and s1 of the module docstring."""
+    alpha, beta = rep
+    part = _parts_at(u.items(), _trim([alpha, -beta]), _trim([beta, alpha]))
+    chart = BivarPoly({(i, j): c for i in range(u.degree + 1)
+                       for j, c in enumerate(part(u.degree - i)) if c})
+    r = _below_nonzero_roots(chart.subs_value("x", 0))
+    d = resultant(chart, chart.partial("y"), "y")
+    assert d, "the chart is squarefree and not free of w"
+    s1 = min(_below_nonzero_roots(p)
+             for p in (d, chart.subs_value("y", -r), chart.subs_value("y", r)))
+    return chart, r, s1
+
+
+def _roots_on_segment(chart: BivarPoly, r: Fraction, s: Fraction) -> int:
+    """The Sturm count of the real roots of F(s, .) in (-r, r)."""
+    chain = sturm_chain(chart.subs_value("x", s))
+    return sign_variations(chain, -r) - sign_variations(chain, r)
+
+
+def _local_counts(u: BivarPoly, rep: tuple[int, int]) -> tuple[int, int]:
+    """(plus, minus) half-branches of the irreducible u at its own point at
+    infinity with the representative rep: the real roots of its chart on the
+    segment |w| < r at s = s1 and at s = -s1 (see the module docstring)."""
+    chart, r, s1 = _segment(u, rep)
+    return _roots_on_segment(chart, r, s1), _roots_on_segment(chart, r, -s1)
 
 
 @lru_cache(maxsize=1024)
 def factor_half_branches(u: BivarPoly) -> tuple[tuple[ProjPointAtInfinity, int, int], ...]:
     """(point, plus, minus) half-branch counts of the irreducible u at each of
     its real points at infinity, in the order of `points_at_infinity`,
-    certified.  Each point is counted by the Newton polygon rule, or, when
-    one of them is degenerate, all of them on the circle of u's own
-    directions.  Cached per process: it depends on u alone."""
-    points = points_at_infinity(u)
-    counts = [_newton_counts(u, p.rep) for p in points]
-    if None in counts:
-        by_point = {p: [0, 0] for p in points}
-        sectors = circle_sectors(u, points)
-        for (point, side), n in zip(sectors.labels, count_half_branches(u, sectors)):
-            by_point[point][0 if side > 0 else 1] += n
-        counts = [by_point[p] for p in points]
-    return tuple((p, plus, minus) for p, (plus, minus) in zip(points, counts))
+    certified.  Each point is counted by the Newton polygon rule, or, where
+    that is degenerate, on the segment of its own chart.  Cached per
+    process: it depends on u alone."""
+    out = []
+    for p in points_at_infinity(u):
+        counts = _newton_counts(u, p.rep) or _local_counts(u, p.rep)
+        out.append((p, *counts))
+    return tuple(out)

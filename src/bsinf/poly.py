@@ -18,7 +18,7 @@ below), and each primitive on them has one implementation: one sum (with a
 sign), one product, one derivative, one exact quotient, one
 sign-preserving pseudo-remainder in Z[t] and one primitive remainder
 sequence built on it.  The resultant, the Sturm chains of
-`bsinf.roots`, the circle polynomials of `bsinf.germs` and the factoring of
+`bsinf.roots`, the charts of `bsinf.germs` and the factoring of
 `bsinf.factor` all run on them; the Sturm chains and the gcds of the factor
 split are both the remainder sequence.
 

@@ -8,8 +8,7 @@ intervals of the other roots never have roots at their endpoints.
 
 This module holds the one sign evaluator of the exact kernel, `_sign_at`,
 which works in integers at a rational point or at +-oo, and the one Cauchy
-root bound, `root_bound`; the sector counts and the certified radius in
-germs use both.
+root bound, `root_bound`.
 """
 
 from __future__ import annotations
@@ -91,6 +90,19 @@ def root_bound(p: list[int]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
+def _below_nonzero_roots(p: list) -> Fraction:
+    """A power of 2 below the modulus of every nonzero root of p, a nonzero
+    polynomial: p without its power of t, reversed, has the inverses of
+    those roots as its roots, and Cauchy's bound B of that puts them above
+    1/B.  1 if p has no nonzero root."""
+    low = next(k for k, c in enumerate(p) if c)
+    bound = root_bound(p[low:][::-1])
+    below = Fraction(1)
+    while below * bound > 1:
+        below /= 2
+    return below
+
+
 def _isolate_one(sf: list[int], chain: list[list[int]], lo: Fraction, hi: Fraction,
                  v_hi: int, lead: int) -> RootInterval:
     """The root of sf in (lo, hi], its only one: an exact point if it is
@@ -169,8 +181,7 @@ def isolate_real_roots(p: list) -> list[RootInterval]:
             continue
         # neighbours from one bisection share its point, which is no root, so
         # each brackets a root on its side.  Cut a gap of equal halves about
-        # the point: the midpoint between the two, where circle_sectors puts
-        # a separator, stays the same
+        # the point, so that the midpoint between the two stays the same
         sign = _sign_at(sf, shared)
         gap = min(shared - below.low, above.high - shared) / 2
         while _sign_at(sf, shared - gap) != sign or _sign_at(sf, shared + gap) != sign:

@@ -175,48 +175,6 @@ def germ_curve(germ: BivarPoly) -> BivarPoly:
     return BivarPoly({(i, e - i - j): c for (i, j), c in germ.items()})
 
 
-def eval_float(g: BivarPoly, px: float, py: float) -> float:
-    """g at a float point, term by term."""
-    return sum(float(c) * px ** i * py ** j for (i, j), c in g.items())
-
-
-def trace_direction_counts(g: BivarPoly, radius: float, directions,
-                           grid: int = 2 ** 14) -> dict[tuple[int, int], int]:
-    """Independent float tracer: sign-change scan of g on the circle of the
-    given radius about the origin, each crossing bisected and assigned to the
-    nearest of the given directions (DirectionS1 values).  A run of samples
-    where g is exactly 0 is one crossing, at its first sample."""
-
-    def at(theta: float) -> float:
-        return eval_float(g, radius * math.cos(theta), radius * math.sin(theta))
-
-    step = 2 * math.pi / grid
-    vals = [at(k * step) for k in range(grid)]
-    crossings = []
-    for k in range(grid):
-        a, b = vals[k], vals[(k + 1) % grid]
-        if a == 0 and vals[k - 1] != 0:
-            crossings.append(k * step)
-        # the product is < 0 only between two nonzero samples of opposite
-        # sign, so a zero sample is not counted twice
-        if a * b < 0:
-            lo, hi = k * step, (k + 1) * step
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                vm = at(mid)
-                if a * vm <= 0:
-                    hi = mid
-                else:
-                    lo, a = mid, vm
-            crossings.append(0.5 * (lo + hi))
-    counts: dict[tuple[int, int], int] = {}
-    for theta in crossings:
-        nearest = max(directions, key=lambda d: d.unit[0] * math.cos(theta)
-                      + d.unit[1] * math.sin(theta))
-        counts[nearest.rep] = counts.get(nearest.rep, 0) + 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # reference parser: a BivarPoly for every number, variable and power, and a
 # new polynomial at every '+', '-' and '*', with the bounds of

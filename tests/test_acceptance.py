@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from bsinf.germs import _certified_bound, _signed_counts, circle_sectors, factor_half_branches
+from bsinf.germs import _roots_on_segment, _segment
 from bsinf.invariant import (
     KInvariant,
     canonical_descriptor,
@@ -174,17 +174,14 @@ def test_criterion_7_radius_stability(corpus):
     curves.extend(corpus)
     checked = 0
     for f in curves:
-        sf = squarefree_part(f)
-        points = points_at_infinity(sf)
-        if not points:
-            continue
-        sectors = circle_sectors(sf, points)
-        # the factors with a point at infinity, on the sectors of the whole curve
-        for u in filter(factor_half_branches, irreducible_factors(sf)):
-            radius = _certified_bound(u, sectors)
-            n0 = _signed_counts(u, radius, sectors)
-            n1 = _signed_counts(u, 7 * radius, sectors)
-            assert n0 == n1, f"sector counts differ at R and 7R for {u} in {f}"
-            checked += 1
-    _report(7, True, f"sector counts agree at R and 7R for all {checked} counted factors "
-                     f"of {len(curves)} corpus curves")
+        # each point of each factor, on the segment of its own chart
+        for u in irreducible_factors(squarefree_part(f)):
+            for p in points_at_infinity(u):
+                chart, r, s1 = _segment(u, p.rep)
+                for s in (s1, -s1):
+                    n0 = _roots_on_segment(chart, r, s)
+                    n1 = _roots_on_segment(chart, r, s / 8)
+                    assert n0 == n1, f"local counts differ at {s} and {s / 8} for {u} at {p} in {f}"
+                checked += 1
+    _report(7, True, f"local counts agree at s1 and s1/8 on both sides at all {checked} "
+                     f"points of the factors of {len(curves)} corpus curves")

@@ -306,7 +306,7 @@ def test_exact_commands_import_neither_sympy_nor_numpy():
                            (["invariant", cubic], 0), (["invariant", "y^2 - x^3"], 0),
                            (["invariant", "x^2 - 2*x*y + y^2 - 1"], 0),
                            (["equiv", cubic, lines], 0),
-                           # a degenerate point: the certified circle and its resultants
+                           # a degenerate point: the segment of its chart and its resultant
                            (["invariant", "(y^2 - x^3)^2 - x^5"], 0),
                            # an irrational direction is refused
                            (["invariant", "y^2 - 2*x^2"], 1),

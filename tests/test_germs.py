@@ -5,21 +5,14 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsinf import germs, poly
-from bsinf.germs import (
-    _certified_bound,
-    _restriction,
-    _signed_counts,
-    circle_sectors,
-    count_half_branches,
-    factor_half_branches,
-)
+from bsinf.germs import factor_half_branches
 from bsinf.invariant import (
     KInvariant,
     canonical_descriptor,
@@ -28,22 +21,16 @@ from bsinf.invariant import (
     realize_tuple,
 )
 from bsinf.parsing import parse_poly
-from bsinf.poly import BivarPoly, _list_mul, irreducible_factors, squarefree_part
-from bsinf.projective import (
-    ProjPointAtInfinity,
-    direction_pair,
-    leading_form,
-    points_at_infinity,
-)
-from bsinf.roots import isolate_real_roots
+from bsinf.poly import BivarPoly, irreducible_factors, squarefree_part
+from bsinf.oracle import oracle_k
+from bsinf.projective import DirectionS1, ProjPointAtInfinity, points_at_infinity
 
 from conftest import (
     affine_image,
-    evaluate,
+    compose,
     even_sum_tuples,
     germ_curve,
     random_unimodular,
-    trace_direction_counts,
 )
 
 W = BivarPoly.x()
@@ -66,13 +53,10 @@ def half_branch_counts(f: BivarPoly, points) -> list[tuple[int, int]]:
     return [tuple(counts[p]) for p in points]
 
 
-def circle_setup(f: BivarPoly):
-    """(squarefree part, points at infinity, sectors of the whole curve,
-    counted factors)."""
+def curve_setup(f: BivarPoly):
+    """(squarefree part, points at infinity, counted factors)."""
     sf = squarefree_part(f)
-    points = points_at_infinity(sf)
-    sectors = circle_sectors(sf, points)
-    return sf, points, sectors, counted_factors(sf)
+    return sf, points_at_infinity(sf), counted_factors(sf)
 
 
 def family_germs(k: int) -> list[tuple[BivarPoly, tuple[int, int]]]:
@@ -109,65 +93,44 @@ def records_by_direction(f: BivarPoly) -> dict[tuple[int, int], int]:
     return out
 
 
-def traced(f: BivarPoly) -> tuple[float, dict[tuple[int, int], int]]:
-    """The largest certified radius of the counted factors of f, and the
-    float tracer's counts there, one counted factor at a time."""
-    _, points, sectors, counted = circle_setup(f)
-    radius = float(max(_certified_bound(u, sectors) for u in counted))
-    directions = [d for p in points for d in direction_pair(p)]
-    total: dict[tuple[int, int], int] = {}
-    for u in counted:
-        for rep, n in trace_direction_counts(u, radius, directions).items():
-            total[rep] = total.get(rep, 0) + n
-    return radius, total
-
-
 def test_line_radius_capped_at_one():
-    # the radius of the small circle at infinity, 1/R, is at most 1
-    _, _, sectors, (u,) = circle_setup(parse_poly("y - x - 1"))
-    radius = _certified_bound(u, sectors)
-    assert radius >= 1 and radius.denominator == 1
-    assert radius.numerator & (radius.numerator - 1) == 0  # a power of 2
-    assert count_half_branches(u, sectors) == [1, 1]
-
-
-def test_cusp_radius_below_first_critical_value():
-    # on y^2 = (x - 3)^3 the distance to the origin grows along both arcs
-    # from the cusp (3, 0), its one critical point; so seen from infinity the
-    # first critical value is 1/3, and 1/R must lie below it
-    f = parse_poly("y^2 - (x - 3)^3")
-    sf, points, sectors, (u,) = circle_setup(f)
-    radius = _certified_bound(u, sectors)
-    assert radius > 3
-    assert _signed_counts(u, Fraction(2), sectors) == [0, 0]  # inside the cusp
-    assert half_branch_counts(sf, points) == [(1, 1)]
+    # the chart of y - x - 1 at [1 : 1] is F = 2w - s.  F(0, w) = 2w and
+    # D = res_w(2w - s, 2) = 2 have no nonzero root, so r = 1, the cap;
+    # F(s, +-1) = +-2 - s has the root +-2, and Cauchy's bound 3/2 of its
+    # reverse, so s1 = 1/2
+    (u,) = curve_setup(parse_poly("y - x - 1"))[2]
+    assert germs._segment(u, (1, 1)) == (parse_poly("2*y - x"), 1, Fraction(1, 2))
+    assert germs._local_counts(u, (1, 1)) == (1, 1)
 
 
 def test_parabola_germ_radius_and_count():
+    # the chart of (y - x)^2 - (y + x) at [1 : 1] is F = 4w^2 - 2s, so r = 1
+    # and s1 = 1/2 as for the line; F(1/2, w) = 4w^2 - 1 has the roots
+    # +-1/2 and F(-1/2, w) = 4w^2 + 1 none
     f = parse_poly("(y-x)^2 - (y+x)")
-    sf, points, sectors, (u,) = circle_setup(f)
-    radius = _certified_bound(u, sectors)
-    assert sum(_signed_counts(u, radius, sectors)) == 2
+    sf, points, (u,) = curve_setup(f)
+    assert germs._segment(u, (1, 1)) == (parse_poly("4*y^2 - 2*x"), 1, Fraction(1, 2))
+    assert germs._local_counts(u, (1, 1)) == (2, 0)
     assert half_branch_counts(sf, points) == [(2, 0)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_monomial_family_counts(k):
     for germ, want in family_germs(k):
-        sf, points, _, _ = circle_setup(germ_curve(germ))
+        sf, points, _ = curve_setup(germ_curve(germ))
         assert [p.rep for p in points] == [(0, 1)]
         assert half_branch_counts(sf, points) == [want], str(germ)
 
 
 def test_no_real_germ_counts_zero():
     f = germ_curve(Z * Z + W ** 4)  # y^2 + x^4: the origin alone
-    sf, points, _, _ = circle_setup(f)
+    sf, points, _ = curve_setup(f)
     assert half_branch_counts(sf, points) == [(0, 0)]
     assert k_at_infinity(f).bounded
     # (y - x)^2 + 1 has no real point, but its leading form vanishes at
     # [1 : 1]; the line y + x has one branch each way along (1, -1)
     f = parse_poly("((y - x)^2 + 1)*(y + x)")
-    sf, points, _, _ = circle_setup(f)
+    sf, points, _ = curve_setup(f)
     assert [p.rep for p in points] == [(1, -1), (1, 1)]
     assert half_branch_counts(sf, points) == [(1, 1), (0, 0)]
     assert [rec.point.rep for rec in k_at_infinity(f).records] == [(1, -1)]
@@ -178,234 +141,64 @@ def test_isolated_point_rotation_invariant_factor():
     # x^2 + y^2 and x^2 + y^2 - 1 have definite leading forms: never counted
     line = records_by_direction(parse_poly("y - x"))
     for text in ["(y - x)*(x^2 + y^2)", "(y - x)*(x^2 + y^2 - 1)"]:
-        _, _, _, counted = circle_setup(parse_poly(text))
+        counted = curve_setup(parse_poly(text))[2]
         assert counted == [parse_poly("y - x")]
         assert records_by_direction(parse_poly(text)) == line
     assert k_at_infinity(parse_poly("x^2 + y^2")).bounded
 
 
-def test_circle_solution_examples():
-    for text, radius, want in [("y - x", Fraction(1, 2), 2),
-                               ("y^2 + x^4", Fraction(2), 0),
-                               ("y - x^3", Fraction(1, 2), 2),
-                               ("x*y - 1", Fraction(1), 0),  # inside sqrt(2)
-                               ("x*y - 1", Fraction(2), 4),
-                               # the circle of radius 2 is a component; 3 is not
-                               ("(x^2 + y^2 - 4)*(y - x)", Fraction(3), 2)]:
-        sf, _, sectors, _ = circle_setup(parse_poly(text))
-        assert sum(_signed_counts(sf, radius, sectors)) == want, text
-
-
-def test_sectors_hold_one_direction_each():
-    # x*y - 1 has all four axis directions, so neither the identity nor a
-    # quarter turn puts t = oo off the curve's directions
-    for text in ["x*y - 1", "y^2 - x^3", "(y - x - 1)*(y - 2*x)*(y^2 - x^3)",
-                 "(x - 3*y)*(2*x + y)*(x^2 - y)"]:
-        _, points, sectors, _ = circle_setup(parse_poly(text))
-        c, s = sectors.rotation
-        assert c * c + s * s == 1
-        assert sorted(sectors.labels, key=lambda pl: (pl[0].rep, pl[1])) == \
-            sorted(((p, side) for p in points for side in (1, -1)),
-                   key=lambda pl: (pl[0].rep, pl[1]))
-        assert list(sectors.separators) == sorted(sectors.separators)
-    assert circle_setup(parse_poly("x*y - 1"))[2].rotation == (Fraction(3, 5), Fraction(4, 5))
-
-
-def test_plus_minus_equals_circle_count():
-    for f in corpus_curves():
-        sf, points, sectors, counted = circle_setup(f)
-        for u in counted:
-            counts = count_half_branches(u, sectors)
-            on_circle = _restriction(u, _certified_bound(u, sectors), sectors.rotation)
-            assert sum(counts) == len(isolate_real_roots(on_circle)), str(u)
-        total = sum(p + m for p, m in half_branch_counts(sf, points))
-        assert total % 2 == 0
-
-
 def test_radius_stability():
+    # the real roots of the chart in (-r, r) are as many at every s in
+    # (0, s1] as at s1, and at every s in [-s1, 0) as at -s1
     for f in corpus_curves():
-        _, _, sectors, counted = circle_setup(f)
-        for u in counted:
-            radius = _certified_bound(u, sectors)
-            n0 = _signed_counts(u, radius, sectors)
-            for r in [radius * 2, radius * 7, radius * Fraction(11, 3)]:
-                assert _signed_counts(u, r, sectors) == n0, str(u)
-
-
-def test_numeric_circle_trace_agrees():
-    """Float sign scan of each counted factor on the circle of the certified
-    radius finds the same counts per direction (independent of the exact
-    machinery)."""
-    for f in corpus_curves():
-        if k_at_infinity(f).bounded:
-            continue
-        _, counts = traced(f)
-        assert counts == records_by_direction(f), str(f)
+        for u in curve_setup(f)[2]:
+            for p in points_at_infinity(u):
+                chart, r, s1 = germs._segment(u, p.rep)
+                for s in (s1, -s1):
+                    n0 = germs._roots_on_segment(chart, r, s)
+                    for scale in (Fraction(1, 2), Fraction(1, 7), Fraction(3, 11)):
+                        assert germs._roots_on_segment(chart, r, s * scale) == n0, str(u)
 
 
 def test_random_germ_products_match_numeric_trace(rng):
-    """Seeded unimodular images of random products of lines, parabolas and
-    the affine curves of the germ families: the certified counter and the
-    independent float tracer must agree direction by direction."""
-    pool = [parse_poly(t) for t in ["y - x - 1", "y + 2*x - 3", "x + 2",
-                                    "(y - x)^2 - (y + x)", "(y - 2*x)^2 + 3*(y + 2*x)",
-                                    "y^2 - x^3"]]
-    for a in (1, 2, 3):
-        for k in (1, 2, 3):
-            pool.append(germ_curve(Z - W.scale(a) ** k))
-            pool.append(germ_curve(Z + W.scale(a) ** k))
-        pool.append(germ_curve(Z * Z - W.scale(a) ** 3))
-        pool.append(germ_curve(Z * Z + W.scale(a) ** 3))
-    checked = 0
-    while checked < 25:
-        chosen = rng.sample(pool, rng.randint(1, 3))
-        product = chosen[0]
-        for u in chosen[1:]:
-            product = product * u
-        shift = (rng.randint(-3, 3), rng.randint(-3, 3))
-        f = affine_image(product, random_unimodular(rng), shift)
-        radius, counts = traced(f)
-        if radius > 1e5:  # float tracing is meaningless at huge radii
-            continue
-        checked += 1
-        assert counts == records_by_direction(f), str(f)
-
-
-def test_trace_counts_a_crossing_on_a_grid_sample():
-    # the circle of radius 8 meets the line y = 0 of this curve exactly at
-    # the grid sample theta = 0, where the tracer reads g = 0
-    f = parse_poly("-4*y^3 - 10*y^2 - x*y - 4*y")
-    radius, counts = traced(f)
-    assert radius == 8
-    assert counts == records_by_direction(f) == {(1, 0): 1, (-1, 0): 3}
-
-
-def test_sector_labels_follow_direction_angles(rng):
-    # p(t) runs counterclockwise from the ray at t = -oo, so the sectors'
-    # directions, read in order, have increasing angles from that ray
-    for _ in range(30):
-        reps = set()
-        while len(reps) < rng.randint(1, 5):
-            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-            if (a, b) != (0, 0):
-                reps.add(ProjPointAtInfinity((a, b)).rep)
-        f = BivarPoly.constant(1)
-        for a, b in reps:
-            f = f * BivarPoly({(1, 0): b, (0, 1): -a})
-        points = points_at_infinity(f)
-        sectors = circle_sectors(f, points)
-        c, s = (float(v) for v in sectors.rotation)
-        start = math.atan2(-s, -c)
-        angles = []
-        for point, side in sectors.labels:
-            u, v = point.rep
-            angles.append((math.atan2(side * v, side * u) - start) % (2 * math.pi))
-        assert angles == sorted(angles) and len(angles) == 2 * len(points)
+    """Seeded random germ products: the certified counts and those of the
+    independent float oracle, which traces the curve's points on circles of
+    growing radius, each given to the nearest certified direction, agree
+    direction by direction."""
+    for f in random_germ_products(rng, 25):
+        exact = records_by_direction(f)
+        traced: Counter = Counter()
+        for unit, n in oracle_k(f).directions:
+            traced[min(exact, key=lambda rep: math.dist(unit, DirectionS1(rep).unit))] += n
+        assert traced == exact, str(f)
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 7), Fraction(-2, 9), Fraction(5, 3)])
-def test_counts_do_not_depend_on_rotation(m, monkeypatch):
-    # any rotation that keeps t = oo off the curve's directions gives the same
-    # records; these ones put the separators at other places
-    rotation = ((1 - m * m) / (1 + m * m), 2 * m / (1 + m * m))
+def test_counts_do_not_depend_on_rotation(m):
+    # the rational rotation R by (c, s) = (1 - m^2, 2m)/(1 + m^2) moves each
+    # branch with its direction: f(R^-1(x, y)) has at the direction R(d) the
+    # count that f has at d.  With m = p/q, (q^2 + p^2)*R is in integers
+    p, q = m.numerator, m.denominator
+    c, s = q * q - p * p, 2 * p * q
+    scale = Fraction(1, q * q + p * p)
     for f in corpus_curves():
-        want = records_by_direction(f)
-        with monkeypatch.context() as patch:
-            patch.setattr(germs, "_rotation", lambda lf: rotation)
-            if leading_form(squarefree_part(f)).evaluate(*rotation) == 0:
-                continue
-            assert records_by_direction(f) == want, str(f)
+        rotated = compose(f, (W.scale(c) + Z.scale(s)).scale(scale),
+                          (Z.scale(c) - W.scale(s)).scale(scale))
+        want = {DirectionS1((c * a - s * b, s * a + c * b)).rep: n
+                for (a, b), n in records_by_direction(f).items()}
+        assert records_by_direction(rotated) == want, str(f)
 
 
 def test_bounded_factor_meeting_large_circles_is_ignored():
-    # the ellipse reaches radius 1000, beyond the line's certified radius
+    # the ellipse reaches radius 1000, far beyond the line's points
     f = parse_poly("(y - x - 1)*(x^2 + 4*y^2 - 1000000)")
-    _, _, sectors, counted = circle_setup(f)
-    assert counted == [parse_poly("y - x - 1")]
-    assert _certified_bound(counted[0], sectors) < 1000
+    assert curve_setup(f)[2] == [parse_poly("y - x - 1")]
     assert records_by_direction(f) == {(1, 1): 1, (-1, -1): 1}
 
 
-
-def cross_matched_sectors(points, rotation):
-    """Reference: the separators and labels of circle_sectors found by
-    matching each isolating interval of the product of the Fraction crosses
-    to the cross that vanishes at its exact point or changes sign on it, and
-    reading the side from the sign of the dot product with (1 - t^2, 2t)."""
-    c, s = rotation
-    frames = [(c * al + s * be, c * be - s * al) for al, be in (p.rep for p in points)]
-    crosses = [[-b, 2 * a, b] for a, b in frames]
-    roots = isolate_real_roots(functools.reduce(_list_mul, crosses, [1]))
-    labels = []
-    for iv in roots:
-        lo, hi = iv.low, iv.high
-        for point, (a, b), cross in zip(points, frames, crosses):
-            if iv.exact_point is not None and evaluate(cross, lo) == 0:
-                plus = a * (1 - lo * lo) + 2 * b * lo > 0
-            elif iv.exact_point is None and evaluate(cross, lo) * evaluate(cross, hi) < 0:
-                # an irrational root r, so b != 0, and there the dot product
-                # is 2r(a^2 + b^2)/b: its sign is that of r*b
-                positive = lo >= 0 or (hi > 0 and evaluate(cross, 0) * evaluate(cross, hi) < 0)
-                plus = positive == (b > 0)
-            else:
-                continue
-            labels.append((point, 1 if plus else -1))
-            break
-    assert len(labels) == len(roots)
-    separators = tuple((a.high + b.low) / 2 for a, b in zip(roots, roots[1:]))
-    return separators, tuple(labels)
-
-
-def pythagorean_rotation(k: int) -> tuple[Fraction, Fraction]:
-    """The k-th rotation that germs._rotation tries: m = 0, 1, 1/2, 1/3, ..."""
-    m = Fraction(1, k) if k else Fraction(0)
-    return (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
-
-
-def assert_sectors_match_cross_matching(f: BivarPoly, points) -> None:
-    for k in range(6):
-        rotation = pythagorean_rotation(k)
-        if leading_form(f).evaluate(*rotation) == 0:
-            continue  # t = oo would be a direction of the curve
-        with mock.patch.object(germs, "_rotation", lambda lf: rotation):
-            sectors = circle_sectors(f, points)
-        assert sectors.rotation == rotation
-        assert (sectors.separators, sectors.labels) == \
-            cross_matched_sectors(points, rotation), (str(f), rotation)
-
-
-@given(st.sets(st.tuples(st.integers(-9, 9), st.integers(-9, 9))
-               .filter(lambda ab: ab != (0, 0))
-               .map(lambda ab: ProjPointAtInfinity(ab).rep), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_angle_order_labels_match_cross_matching(reps):
-    f = BivarPoly.constant(1)
-    for a, b in reps:
-        f = f * BivarPoly({(1, 0): b, (0, 1): -a})
-    points = points_at_infinity(f)
-    assert sorted(p.rep for p in points) == sorted(reps)
-    assert_sectors_match_cross_matching(f, points)
-
-
-def test_angle_order_labels_match_cross_matching_on_corpus():
-    for f in corpus_curves():
-        sf = squarefree_part(f)
-        points = points_at_infinity(sf)
-        if points:
-            assert_sectors_match_cross_matching(sf, points)
-
-
 # ---------------------------------------------------------------------------
-# the Newton polygon rule, and the circle as its fallback
+# the Newton polygon rule, and the segment where it does not decide
 # ---------------------------------------------------------------------------
-
-def circle_counts_by_point(u: BivarPoly, points, sectors) -> dict:
-    """(plus, minus) of the counted factor u at each point, from the
-    certified circle."""
-    out = {p: [0, 0] for p in points}
-    for (point, side), n in zip(sectors.labels, count_half_branches(u, sectors)):
-        out[point][0 if side > 0 else 1] += n
-    return {p: tuple(c) for p, c in out.items()}
 
 
 # (text, point, the edges (P, Q, phi) of its chart there, (plus, minus)),
@@ -430,11 +223,11 @@ def test_rule_on_hand_checked_charts(text, rep, edges, want, monkeypatch):
     if edges is not None:
         assert germs._newton_edges(germs._chart_rows(f, *rep)) == edges
     (u,) = irreducible_factors(f)
-    assert germs._newton_counts(u, rep) == want
+    assert germs._newton_counts(u, rep) == germs._local_counts(u, rep) == want
     clear_factor_caches()
-    circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+    local = calls_counted(monkeypatch, "_local_counts", lambda u, rep: (u, rep))
     assert factor_half_branches(u) == ((ProjPointAtInfinity(rep), *want),)
-    assert not circles
+    assert not local
 
 
 @st.composite
@@ -459,26 +252,71 @@ def curves_singular_at_infinity(draw) -> BivarPoly:
     return affine_image(f, m, shift)
 
 
-@given(curves_singular_at_infinity())
-@settings(max_examples=80, deadline=None)
-def test_rule_agrees_with_the_circle(f):
-    _, points, sectors, counted = circle_setup(f)
-    for u in counted:
-        on_circle = circle_counts_by_point(u, points, sectors)
+def assert_rule_agrees_with_the_local_count(f: BivarPoly) -> None:
+    """The rule and the segment agree at every point of every factor of f
+    where the rule decides; the segment decides everywhere."""
+    for u in irreducible_factors(f):
         for p in points_at_infinity(u):
             by_rule = germs._newton_counts(u, p.rep)
-            if by_rule is not None:  # degenerate points are the circle's alone
-                assert by_rule == on_circle[p], (str(u), str(p))
+            if by_rule is not None:
+                assert by_rule == germs._local_counts(u, p.rep), (str(u), str(p))
 
 
-# (text, k): the branches y = x^2 +- x^(1/2) and y = x^2 +- x^(3/2), x -> +oo,
-# both go up, so k = (2); y^2 = x^3 +- x^(5/2) has two branches going up and
-# two going down, so k = (2, 2).  At [0 : 1] each chart has one edge, whose
-# phi is a square: (1 - z)^2, (1 - z)^2 and (1 + z)^2.
+@given(curves_singular_at_infinity())
+@settings(max_examples=80, deadline=None)
+def test_rule_agrees_with_the_local_count(f):
+    assert_rule_agrees_with_the_local_count(f)
+
+
+def random_germ_products(rng, n: int) -> list[BivarPoly]:
+    """Seeded unimodular images of random products of lines, parabolas and
+    the affine curves of the germ families."""
+    pool = [parse_poly(t) for t in ["y - x - 1", "y + 2*x - 3", "x + 2",
+                                    "(y - x)^2 - (y + x)", "(y - 2*x)^2 + 3*(y + 2*x)",
+                                    "y^2 - x^3"]]
+    for a in (1, 2, 3):
+        for k in (1, 2, 3):
+            pool.append(germ_curve(Z - W.scale(a) ** k))
+            pool.append(germ_curve(Z + W.scale(a) ** k))
+        pool.append(germ_curve(Z * Z - W.scale(a) ** 3))
+        pool.append(germ_curve(Z * Z + W.scale(a) ** 3))
+    out = []
+    for _ in range(n):
+        product = functools.reduce(BivarPoly.__mul__, rng.sample(pool, rng.randint(1, 3)))
+        shift = (rng.randint(-3, 3), rng.randint(-3, 3))
+        out.append(affine_image(product, random_unimodular(rng), shift))
+    return out
+
+
+def test_rule_agrees_with_the_local_count_on_corpus(rng):
+    criterion_1 = [curve for t in even_sum_tuples(6, 4)
+                   for curve in (emit_normal_form(canonical_descriptor(KInvariant(t))),
+                                 realize_tuple(KInvariant(t)))]
+    factors = {u for f in criterion_1 for u in irreducible_factors(f)}
+    for f in corpus_curves() + sorted(factors, key=str) + random_germ_products(rng, 25):
+        assert_rule_agrees_with_the_local_count(f)
+
+
+# (text, k, edges at [0 : 1]), each worked out by hand.
+# - y = x^2 +- x^(1/2) and y = x^2 +- x^(3/2), x -> +oo, both go up, so
+#   k = (2); y^2 = x^3 +- x^(5/2) has two branches going up and two going
+#   down, so k = (2, 2).  Each chart has one edge, whose phi is a square:
+#   (1 - z)^2, (1 - z)^2 and (1 + z)^2.
+# - (x^4 - 2y^2)^2 - x^7: F = w^8 + s*w^7 - 4s^2*w^4 + 4s^4.  (0, 8), (2, 4)
+#   and (4, 0) lie on one edge and (1, 7) above it, so P = 1, Q = 2 and
+#   phi = 4 - 4z^2 + z^4 = (z^2 - 2)^2, a repeated irrational root.  Its
+#   branches are y = +-((x^4 -+ x^(7/2))/2)^(1/2), x -> +oo: two go up and
+#   two down, so k = (2, 2).
+# - (y^3 - x^4)^4 - x^15: F = (s - w^4)^4 + s*w^15.  (0, 16), (1, 12),
+#   (2, 8), (3, 4) and (4, 0) lie on one edge and (1, 15) above it, so
+#   P = 1, Q = 4 and phi = (1 - z)^4.  y^3 = x^4 +- x^(15/4) is real only
+#   for x >= 0, and both branches go up, so k = (2).
 DEGENERATE = [
     ("(y - x^2)^2 - x", (2,), [(1, 2, [1, -2, 1])]),
     ("(y - x^2)^2 - x^3", (2,), [(1, 2, [1, -2, 1])]),
     ("(y^2 - x^3)^2 - x^5", (2, 2), [(1, 3, [1, 2, 1])]),
+    ("(x^4 - 2*y^2)^2 - x^7", (2, 2), [(1, 2, [4, 0, -4, 0, 1])]),
+    ("(y^3 - x^4)^4 - x^15", (2,), [(1, 4, [1, -4, 6, -4, 1])]),
 ]
 
 
@@ -493,10 +331,8 @@ def degenerate_curves() -> list[tuple[BivarPoly, tuple[int, ...]]]:
 
 def fallback_curves() -> list[tuple[BivarPoly, tuple[int, ...]]]:
     """Each degenerate curve, alone and times one or two lines of other
-    directions, with its k: a factor on the circle in curves whose
-    separators differ.  Last, the first of them times the circle
-    x^2 + y^2 = 16: a bounded factor, never counted, though the degenerate
-    factor is counted on circles about the origin."""
+    directions, with its k.  Last, the first of them times the circle
+    x^2 + y^2 = 16: a bounded factor, never counted."""
     lines = [parse_poly(text) for text in ["y - x - 1", "y + x + 3", "y - 3*x"]]
     out = []
     for f, k in degenerate_curves():
@@ -514,34 +350,56 @@ def test_degenerate_edges_are_found(text, k, edges):
     assert germs._newton_counts(u, (0, 1)) is None
 
 
-def test_degenerate_points_take_the_circle(monkeypatch):
+def test_degenerate_points_take_the_local_count(monkeypatch):
     for f, k in fallback_curves():
         clear_factor_caches()
-        circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+        local = calls_counted(monkeypatch, "_local_counts", lambda u, rep: (u, rep))
         assert k_at_infinity(f).k.entries == k, str(f)
-        assert sum(circles.values()) >= 1, str(f)
+        assert sum(local.values()) >= 1, str(f)
         monkeypatch.undo()
 
 
-def test_shared_degenerate_factor_takes_the_circle_once(monkeypatch):
+def test_local_counts_match_sympy_count_roots():
+    # sympy's count of the real roots of F(s1, w) and F(-s1, w) in [-r, r]
+    # (neither end is a root) at each degenerate point
+    w = sympy.Symbol("w")
+    checked = 0
+    for f, _ in degenerate_curves():
+        for u in irreducible_factors(f):
+            for p in points_at_infinity(u):
+                if germs._newton_counts(u, p.rep) is not None:
+                    continue
+                chart, r, s1 = germs._segment(u, p.rep)
+                want = []
+                for s in (s1, -s1):
+                    coeffs = chart.subs_value("x", s)
+                    row = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                      for c in reversed(coeffs)], w)
+                    want.append(row.count_roots(sympy.Rational(-r), sympy.Rational(r)))
+                got = [germs._roots_on_segment(chart, r, s) for s in (s1, -s1)]
+                assert got == want, (str(u), str(p))
+                checked += 1
+    assert checked == len(degenerate_curves())
+
+
+def test_shared_degenerate_factor_takes_the_local_count_once(monkeypatch):
     # (y - x^2)^2 - x is degenerate at [0 : 1] (phi = (1 - z)^2); its
     # branches y = x^2 +- x^(1/2) both go up, so it gives (2, 0) there.  Each
     # line adds one branch each way at its own point, so k = (1, 1, 2) twice
     clear_factor_caches()
-    circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+    local = calls_counted(monkeypatch, "_local_counts", lambda u, rep: (u, rep))
     for text in ["((y - x^2)^2 - x)*(y - 2*x)", "((y - x^2)^2 - x)*(y + 3*x)"]:
         assert k_at_infinity(parse_poly(text)).k.entries == (1, 1, 2), text
-    assert circles == {parse_poly("(y - x^2)^2 - x"): 1}
+    assert local == {(parse_poly("(y - x^2)^2 - x"), (0, 1)): 1}
 
 
-def test_criterion_1_curves_never_reach_the_circle(monkeypatch):
-    sectors = calls_counted(monkeypatch, "circle_sectors", lambda f, points: f)
-    circles = calls_counted(monkeypatch, "count_half_branches", lambda u, sectors: u)
+def test_criterion_1_curves_never_take_the_local_count(monkeypatch):
+    local = calls_counted(monkeypatch, "_local_counts", lambda u, rep: (u, rep))
     for t in even_sum_tuples(6, 4):
         eta = KInvariant(t)
         assert k_at_infinity(emit_normal_form(canonical_descriptor(eta))).k == eta
         assert k_at_infinity(realize_tuple(eta)).k == eta
-    assert not sectors and not circles
+    assert not local
 
 
 def generic_curve(half: int) -> BivarPoly:
@@ -557,9 +415,10 @@ def generic_curve(half: int) -> BivarPoly:
                                   (parse_poly("x^200 + y^200 + 1"), ())],
                          ids=["generic degree 14", "x^128 - y", "x^200 + y^200 + 1"])
 def test_curves_that_took_seconds_on_the_circle_are_fast(f, k):
-    # 2.3 s and 2.2 s on the circle: two resultants, R and a Sturm chain of
-    # degree 2d; x^128 - y still spends most of its time in factoring.  The
-    # bounded x^200 + y^200 + 1 took 9.5 s when every curve was factored
+    # 2.3 s and 2.2 s when every curve was counted on a circle of certified
+    # radius: two resultants and a Sturm chain of degree 2d.  x^128 - y still
+    # spends most of its time in factoring.  The bounded x^200 + y^200 + 1
+    # took 9.5 s when every curve was factored
     clear_factor_caches()
     poly.irreducible_factors.cache_clear()
     start = time.perf_counter()
@@ -573,43 +432,6 @@ def test_curves_that_took_seconds_on_the_circle_are_fast(f, k):
 
 def clear_factor_caches() -> None:
     germs.factor_half_branches.cache_clear()
-
-
-# lines, parabolas and the cusp, and their images under three unimodular
-# maps: products of these share factors across curves whose separators, and
-# so whose separator-ray clauses and radii R, differ; that is why a factor
-# on the circle is certified on the sectors of its own directions
-SHARED_POOL = [parse_poly(text) for text in [
-    "y - x - 1", "x + 2", "y + 2*x - 3", "(y - x)^2 - (y + x)", "y - x^2", "y^2 - x^3"]]
-SHARED_POOL += [affine_image(u, m, shift) for m, shift in [(((1, 1), (0, 1)), (0, -2)),
-                                                          (((2, 1), (1, 1)), (1, 0)),
-                                                          (((0, 1), (1, 0)), (0, 0))]
-                for u in SHARED_POOL]
-
-
-def product_of(indices: list[int]) -> BivarPoly:
-    return functools.reduce(lambda f, i: f * SHARED_POOL[i], indices, BivarPoly.constant(1))
-
-
-def certificate(f: BivarPoly) -> list[tuple]:
-    """R and the sector counts at R of each counted factor of f, on the
-    sectors of the whole curve."""
-    points = points_at_infinity(f)
-    sectors = circle_sectors(f, points)
-    per_factor = []
-    for u in counted_factors(f):
-        radius = _certified_bound(u, sectors)
-        per_factor.append((u, radius, _signed_counts(u, radius, sectors)))
-    return per_factor
-
-
-def test_shared_pool_factors_get_radii_that_differ_by_curve():
-    radii = {}
-    for i, j in [(0, 1), (0, 2), (0, 3), (0, 5), (5, 4), (5, 1)]:
-        for u, radius, _ in certificate(product_of([i, j])):
-            radii.setdefault(u, set()).add(radius)
-    for u in (SHARED_POOL[0], SHARED_POOL[5]):
-        assert len(radii[u.normalized_primitive()]) > 1, str(u)
 
 
 CRITERION_1 = [(1, 1), (1, 3), (2, 2), (3, 3), (1, 1, 2, 2), (2, 4), (1, 1, 1, 1), (1, 2, 3)]
@@ -634,17 +456,18 @@ def calls_counted(monkeypatch, name: str, key) -> Counter:
     return calls
 
 
-def test_transversality_square_of_a_high_degree_curve_is_fast():
-    # h = -x - 128*x^127*y: the resultant eliminating x has degree 128 in x,
-    # which took about 5 s as a Sylvester determinant
+def test_local_count_of_a_high_degree_chart_is_fast():
+    # the chart of x^128 - y at [0 : 1] is w^128 - s^127: D = res_w(F, dF/dw)
+    # eliminates w of degree 128, which took about 5 s as a Sylvester
+    # determinant.  Its branch y = x^128 goes up both ways: (2, 0)
     start = time.perf_counter()
-    germs._transversality_square(parse_poly("x^128 - y"))
+    assert germs._local_counts(parse_poly("x^128 - y"), (0, 1)) == (2, 0)
     assert time.perf_counter() - start < 1
 
 
 def test_threads_share_cold_caches():
     # the criterion-1 curves meet the rule, the fallback curves also the
-    # circle; both fill the one cache of each factor's counts
+    # segment; both fill the one cache of each factor's counts
     curves = criterion_1_curves() + [f for f, _ in fallback_curves()]
     clear_factor_caches()
     sequential = [k_at_infinity(f).records for f in curves]

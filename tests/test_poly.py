@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bsinf import factor, poly
 from bsinf.errors import BsinfError, ZeroPolynomialError
-from bsinf.germs import _restriction, circle_sectors
 from bsinf.invariant import k_at_infinity
 from bsinf.parsing import parse_poly
 from bsinf.poly import (
@@ -18,7 +17,6 @@ from bsinf.poly import (
     resultant,
     squarefree_part,
 )
-from bsinf.projective import points_at_infinity
 from bsinf.roots import isolate_real_roots, root_bound
 
 from conftest import evaluate, factor_list_terms, sylvester_resultant
@@ -367,13 +365,6 @@ def test_integral_coefficients_are_stored_as_int():
     assert all_int(_primitive_ints([Fraction(1, 2), Fraction(-3, 4)]))
     assert all_int(parse_poly("1/2*x*2 + y*4/2").terms.values())
     assert all_int(irreducible_factors(parse_poly("x^3 - x*y^2 + 2*x^2 - 2*y^2"))[0].terms.values())
-    # the rotation (3/5, 4/5) and the radius 7/3 leave no denominator
-    curve = parse_poly("x*y - 1")
-    sectors = circle_sectors(curve, points_at_infinity(curve))
-    assert sectors.rotation == (Fraction(3, 5), Fraction(4, 5))
-    for radius in (8, Fraction(7, 3)):
-        on_circle = _restriction(curve, radius, sectors.rotation)
-        assert on_circle and all_int(on_circle)
 
 
 def test_non_integral_coefficients_stay_fractions():

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from bsinf.germs import Sectors
 from bsinf.invariant import (
     DirectionCount,
     InfinityReport,
@@ -38,12 +37,6 @@ CASES = {
     "DirectionS1": (
         DirectionS1, ("rep",), ((1, -2),), (-1, 2),
         "DirectionS1(rep=(1, -2))"),
-    "Sectors": (
-        Sectors, ("rotation", "separators", "labels"),
-        ((F(1), F(0)), (F(-1, 2), F(3)), ((POINT, 1), (POINT, -1))), (F(0), F(1)),
-        "Sectors(rotation=(Fraction(1, 1), Fraction(0, 1)), separators=(Fraction(-1, 2), "
-        "Fraction(3, 1)), labels=((ProjPointAtInfinity(rep=(1, 2)), 1), "
-        "(ProjPointAtInfinity(rep=(1, 2)), -1)))"),
     "DirectionCount": (
         DirectionCount, ("direction", "count"), (DIRECTION, 2), DirectionS1((1, 0)),
         "DirectionCount(direction=DirectionS1(rep=(1, -2)), count=2)"),

@@ -1,13 +1,21 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsinf.poly import _list_mul, _trim
-from bsinf.roots import RootInterval, _sign_at, isolate_real_roots, sign_variations, sturm_chain
+from bsinf.roots import (
+    RootInterval,
+    _below_nonzero_roots,
+    _sign_at,
+    isolate_real_roots,
+    sign_variations,
+    sturm_chain,
+)
 
 from conftest import brute_distinct_real_roots, evaluate, squarefree
 
@@ -107,9 +115,29 @@ def test_isolation_matches_sympy(p):
     assert all(a.high < b.low for a, b in zip(ivs, ivs[1:]))
 
 
+def test_below_nonzero_roots_examples():
+    assert _below_nonzero_roots([0, 0, 5]) == 1  # no nonzero root
+    # t - 1: the reverse 1 - t has Cauchy's bound 2, so 1/2 lies below 1
+    assert _below_nonzero_roots([-1, 1]) == Fraction(1, 2)
+    # t^2 * (1000*t - 1): the root 1/1000, and 1/1024 below it
+    assert _below_nonzero_roots([0, 0, -1, 1000]) == Fraction(1, 1024)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any))
+@settings(max_examples=80, deadline=None)
+def test_below_nonzero_roots_is_a_power_of_2_below_each_nonzero_root(p):
+    p = _trim(p)
+    below = _below_nonzero_roots(p)
+    assert 0 < below <= 1 and below.numerator == 1
+    assert below.denominator & (below.denominator - 1) == 0
+    # Cauchy's bound is loose enough for float roots to decide
+    low = next(k for k, c in enumerate(p) if c)
+    assert all(abs(z) > below for z in np.roots(p[low:][::-1])), p
+
+
 def sturm_count(p: list, low: Fraction, high: Fraction) -> int:
     """Distinct real roots of p in (low, high], by the Sturm count that
-    sector counting relies on."""
+    the local count of a degenerate point relies on."""
     chain = sturm_chain(p)
     return sign_variations(chain, low) - sign_variations(chain, high)
 
